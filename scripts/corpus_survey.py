@@ -4,8 +4,8 @@
 For every corpus member this prints the dimension, vertex and facet
 counts, the h-vector, and whether the member is even. For even members
 of odd dimension the middle face code is computed along with its
-minimum distance (within the enumeration budget), self-duality, and
-doubly-evenness.
+minimum distance and doubly-evenness (each within its enumeration
+budget, else left out) and self-duality.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ def middle_code_row(P: pc.SimplePolytope) -> str:
         d = str(pc.min_distance(code))
     except pc.BudgetExceeded:
         d = "?"
-    de = pc.weight_enumerator(code).doubly_even if d != "?" else None
+    # The weight enumerator walks every codeword; its budget is separate.
+    try:
+        de = pc.weight_enumerator(code).doubly_even
+    except pc.BudgetExceeded:
+        de = None
     tags = []
     if trace.self_dual:
         tags.append("self-dual")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidInput, TheoremViolation, Undefined
@@ -32,7 +33,8 @@ __all__ = [
     "weight_enumerator",
 ]
 
-# Exhaustive codeword enumeration is capped at this dimension.
+# Codeword enumeration visits at most 2^ENUMERATION_CAP codewords, so the
+# exhaustive weight enumerator stops at this dimension.
 ENUMERATION_CAP = 28
 
 try:
@@ -196,20 +198,35 @@ def reduce(generators: Iterable[BitVector], *, length: int | None = None) -> Lin
     for g in gens:
         if g.length != length:
             raise InvalidInput(f"generator of length {g.length} in a code of length {length}")
+    pivot_rows, _ = _eliminate([g.bits for g in gens], (1 << length) - 1)
+    basis = tuple(BitVector(length, pivot_rows[p]) for p in sorted(pivot_rows))
+    return LinearCode(length=length, generators=gens, basis=basis)
+
+
+def _eliminate(rows: Iterable[int], mask: int) -> tuple[dict[int, int], list[int]]:
+    """Gaussian elimination that pivots only on the columns set in ``mask``.
+
+    Returns the pivot rows keyed by pivot column (the lowest masked bit),
+    every pivot cleared from the other pivot rows, and the nonzero rows
+    left over, which vanish on ``mask``. Under a full mask nothing is left
+    over and the pivot rows are the reduced echelon basis.
+    """
     pivot_rows: dict[int, int] = {}
-    for g in gens:
-        r = g.bits
+    vanishing: list[int] = []
+    for r in rows:
         for p, row in pivot_rows.items():
             if (r >> p) & 1:
                 r ^= row
-        if r:
-            p = (r & -r).bit_length() - 1
+        on_mask = r & mask
+        if on_mask:
+            p = (on_mask & -on_mask).bit_length() - 1
             for q, row in pivot_rows.items():
                 if (row >> p) & 1:
                     pivot_rows[q] = row ^ r
             pivot_rows[p] = r
-    basis = tuple(BitVector(length, pivot_rows[p]) for p in sorted(pivot_rows))
-    return LinearCode(length=length, generators=gens, basis=basis)
+        elif r:
+            vanishing.append(r)
+    return pivot_rows, vanishing
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -273,17 +290,117 @@ def _nonzero_weights(code: LinearCode) -> Iterator[int]:
         yield pc(acc)
 
 
-def min_distance(code: LinearCode) -> int:
-    """Exact minimum distance by exhaustive enumeration.
+def _information_sets(code: LinearCode) -> Iterator[tuple[int, list[int]]]:
+    # Generator matrices over disjoint information sets, as (rank r, rows):
+    # the r rows systematic on the set first, then the k - r rows that
+    # vanish on it. The reduced echelon basis is the first, systematic on
+    # its pivots; each later one pivots on the columns no earlier one used.
+    # Ranks never increase, since each set of free columns lies inside the
+    # previous one. Stops once the code vanishes on what is left.
+    rows = [row.bits for row in code.basis]
+    pivots = [r & -r for r in rows]
+    free = (1 << code.length) - 1
+    while pivots:
+        yield len(pivots), rows
+        for p in pivots:
+            free ^= p
+        pivot_rows, vanishing = _eliminate(rows, free)
+        rows = [*pivot_rows.values(), *vanishing]
+        pivots = [1 << p for p in pivot_rows]
 
-    Raises Undefined for the zero code and BudgetExceeded above
-    dimension ENUMERATION_CAP.
+
+def _schedule(k: int, ranks: Sequence[int]) -> Iterator[tuple[int, range, int]]:
+    # Brouwer-Zimmermann steps (matrix j, message weights to enumerate in it,
+    # lower bound once done). Once every message of weight <= w has been
+    # enumerated in matrix j, an unseen codeword has message weight >= w + 1,
+    # so at least w + 1 - (k - r_j) of it lies on the r_j pivot columns of j;
+    # the sets are disjoint, so these shares add up. Matrix j counts from
+    # w = k - r_j on, and then needs every lighter message too, which it was
+    # skipped for while it added nothing.
+    gains = [0] * len(ranks)
+    bound = 0
+    for w in range(1, k + 1):
+        for j, r in enumerate(ranks):
+            if r + w < k:
+                break
+            levels = range(w, w + 1) if gains[j] else range(1, w + 1)
+            gain = w + 1 - (k - r)
+            bound += gain - gains[j]
+            gains[j] = gain
+            yield j, levels, bound
+
+
+def _lightest_sum(rows: list[int], i: int) -> int:
+    # Smallest weight of a sum of exactly i distinct rows, 1 <= i <= len(rows).
+    # Each sum splits into i - h leading rows, chosen by recursion, and
+    # h = max(1, i // 2) trailing rows, read from a table of every h-row sum
+    # grouped by first row; the sums whose first row is t or later start at
+    # starts[t]. The innermost loop is then one mapped pass over a slice.
+    pc = _popcount
+    n = len(rows)
+    h = max(1, i // 2)
+    sums, starts = rows, list(range(n + 1))
+    for _ in range(h - 1):
+        prev, prev_starts = sums, starts
+        sums, starts = [], []
+        for t, row in enumerate(rows):
+            starts.append(len(sums))
+            sums += map(row.__xor__, prev[prev_starts[t + 1]:])
+        starts.append(len(sums))
+
+    def lightest(start: int, depth: int, acc: int) -> int:
+        if depth == 0:
+            return min(map(pc, map(acc.__xor__, sums[starts[start]:])))
+        return min(
+            lightest(t + 1, depth - 1, acc ^ rows[t]) for t in range(start, n - h - depth + 1)
+        )
+
+    return lightest(0, i - h, 0)
+
+
+def min_distance(code: LinearCode) -> int:
+    """Exact minimum distance by the Brouwer-Zimmermann algorithm.
+
+    The code gets generator matrices over disjoint information sets,
+    matrix j of rank r_j on its set. Messages of weight w = 1, 2, ... are
+    enumerated in each matrix; once every weight up to w is done, a
+    codeword not yet seen has weight at least
+    sum_j max(0, w + 1 - (k - r_j)), and the search stops when that bound
+    reaches the lightest codeword found.
+
+    Before any enumeration, the number of codewords to visit is estimated
+    by running that stopping rule against the lightest basis row, which
+    the true answer can only undercut. When the estimate reaches 2^k - 1,
+    the exhaustive Gray walk runs instead. Raises Undefined for the zero
+    code and BudgetExceeded when the cheaper of the two visits more than
+    2^ENUMERATION_CAP codewords.
     """
-    if code.dim == 0:
+    k = code.dim
+    if k == 0:
         raise Undefined("the zero code has no nonzero codeword")
-    if code.dim > ENUMERATION_CAP:
-        raise BudgetExceeded(f"dimension {code.dim} over the enumeration cap {ENUMERATION_CAP}")
-    return min(_nonzero_weights(code))
+    matrices = list(_information_sets(code))
+    ranks = [r for r, _ in matrices]
+    best = min(row.weight for row in code.basis)
+    walk = (1 << k) - 1
+    estimate = 0
+    for _, levels, bound in _schedule(k, ranks):
+        estimate += sum(comb(k, i) for i in levels)
+        if bound >= best or estimate >= walk:
+            break
+    estimate = min(estimate, walk)
+    if estimate > 1 << ENUMERATION_CAP:
+        raise BudgetExceeded(
+            f"an estimated {estimate} codewords to visit, over the budget of "
+            f"2^{ENUMERATION_CAP} = {1 << ENUMERATION_CAP}"
+        )
+    if estimate == walk:
+        return min(_nonzero_weights(code))
+    for j, levels, bound in _schedule(k, ranks):
+        rows = matrices[j][1]
+        best = min(best, *(_lightest_sum(rows, i) for i in levels))
+        if bound >= best:
+            break
+    return best
 
 
 @dataclass(frozen=True)
@@ -292,12 +409,29 @@ class WeightEnumerator:
     doubly_even: bool
 
 
+def _check_macwilliams(counts: dict[int, int], length: int, dim: int) -> None:
+    # For a self-dual code the Krawtchouk transform of the weight counts,
+    # sum_i A_i K_j(i) with K_j(i) = sum_s (-1)^s C(i, s) C(length - i, j - s),
+    # is 2^dim times the dual's count, which is A_j again.
+    for j in range(length + 1):
+        transformed = sum(
+            a * sum((-1) ** s * comb(i, s) * comb(length - i, j - s) for s in range(j + 1))
+            for i, a in counts.items()
+        )
+        if transformed != counts.get(j, 0) << dim:
+            raise TheoremViolation(
+                f"MacWilliams transform gives {transformed} / 2^{dim} words of weight {j}, "
+                f"enumerated {counts.get(j, 0)}"
+            )
+
+
 def weight_enumerator(code: LinearCode) -> WeightEnumerator:
     """Weight distribution by exhaustive enumeration.
 
     ``doubly_even`` is checked twice: every enumerated weight divisible
     by 4, and the basis route (basis weights divisible by 4 plus
-    pairwise orthogonality). The two must agree.
+    pairwise orthogonality). The two must agree. For a self-dual code
+    the counts must also be invariant under the MacWilliams transform.
     """
     if code.dim > ENUMERATION_CAP:
         raise BudgetExceeded(f"dimension {code.dim} over the enumeration cap {ENUMERATION_CAP}")
@@ -313,6 +447,8 @@ def weight_enumerator(code: LinearCode) -> WeightEnumerator:
         raise TheoremViolation(
             f"doubly-even routes disagree: enumerated={enumerated} basis={by_basis}"
         )
+    if is_self_dual(code).self_dual:
+        _check_macwilliams(counts, code.length, code.dim)
     return WeightEnumerator(counts=dict(sorted(counts.items())), doubly_even=enumerated)
 
 

@@ -178,9 +178,15 @@ def test_mindist_text_and_json(capsys):
 
 
 def test_mindist_budget_exit_code(capsys):
-    rc = main(["mindist", "polygon 62", "-k", "1"])
+    # RM(3,7) = [128,64,16] needs about 1.4e9 codewords, over the budget.
+    rc = main(["mindist", "cube 7", "-k", "3"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: an estimated ")
+    assert "codewords to visit, over the budget of 2^28 = 268435456" in err
+    # Dimension 61, far above ENUMERATION_CAP, is answered exactly.
+    rc, out = run(capsys, ["mindist", "polygon 62", "-k", "1"])
+    assert rc == 0 and out == "minimum distance: 2\n"
 
 
 # -------------------------------------------------------------------- color

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polycodes as pc
+from polycodes import gf2
+from polycodes.gf2 import _check_macwilliams
 
 from helpers import (
     all_codewords,
@@ -171,11 +173,13 @@ def test_min_distance_error_paths():
     zero = pc.reduce([pc.BitVector.from01("000")])
     with pytest.raises(pc.Undefined):
         pc.min_distance(zero)
+    with pytest.raises(pc.BudgetExceeded, match=r"estimated \d+ codewords .* 2\^28 = 268435456"):
+        pc.min_distance(pc.reed_muller(3, 7))
+    # Dimension alone does not trigger a refusal.
     big = pc.reduce(
         [pc.BitVector.from_support(40, (i,)) for i in range(pc.ENUMERATION_CAP + 1)]
     )
-    with pytest.raises(pc.BudgetExceeded):
-        pc.min_distance(big)
+    assert pc.min_distance(big) == 1
 
 
 @settings(deadline=None)
@@ -184,6 +188,78 @@ def test_min_distance_matches_brute_force(code):
     if code.dim == 0:
         return
     assert pc.min_distance(code) == brute_min_distance(code)
+
+
+# A [23,11,3] code whose information sets have ranks 11, 9 and 3. The
+# second set adds to the distance bound from message weight 2 on, and a
+# weight-3 codeword is a weight-1 message there, so the search has to go
+# back to weight 1 in that set before it may stop.
+RANK_DEFICIENT_ROWS = [
+    "10000000000110100101100",
+    "01000000000010011010010",
+    "00100001000010111010010",
+    "00010000000000111011101",
+    "00001000000010001001101",
+    "00000101000010111101101",
+    "00000010000110111110001",
+    "00000000100000001110001",
+    "00000000010010110010000",
+    "00000000001010100010011",
+    "00000000000001111010001",
+]
+
+
+def sparse_codes(rng: random.Random, count: int) -> list[pc.LinearCode]:
+    """Codes of length 16-24 and dimension about half of it, from sparse
+    generators, so that later information sets are rank-deficient."""
+    codes = []
+    for _ in range(count):
+        n = rng.randint(16, 24)
+        gens = [
+            pc.BitVector.from_support(n, [i for i in range(n) if rng.random() < 0.3])
+            for _ in range(rng.choice((n // 2 - 1, n // 2)))
+        ]
+        codes.append(pc.reduce(gens, length=n))
+    return codes
+
+
+def test_min_distance_matches_walk_on_rank_deficient_codes():
+    fixed = pc.reduce([pc.BitVector.from01(r) for r in RANK_DEFICIENT_ROWS])
+    assert [rank for rank, _ in gf2._information_sets(fixed)] == [11, 9, 3]
+    assert (fixed.length, fixed.dim, pc.min_distance(fixed)) == (23, 11, 3)
+    for code in [fixed, *sparse_codes(random.Random(2026101802), 400)]:
+        if code.dim == 0:
+            continue
+        counts = pc.weight_enumerator(code).counts
+        assert pc.min_distance(code) == min(w for w in counts if w)
+
+
+# Corpus codes too large to walk in test time (2^23 to 2^26 codewords,
+# 3-23 s each), checked against closed forms instead. The codimension-3
+# code of the 5-cube is RM(3,5). The codimension-3 and -4 faces of
+# polygon 6 x square are its edges and its vertices, which span the
+# even-weight code of a connected graph and the whole space.
+LARGE_CORPUS_DISTANCES = {
+    ("cube 5", 3): 4,
+    ("product (polygon 6) (cube 2)", 3): 2,
+    ("product (polygon 6) (cube 2)", 4): 1,
+}
+
+
+def test_min_distance_matches_walk_on_corpus_face_codes():
+    large = {}
+    for entry in pc.corpus():
+        P = entry.build()
+        for k in range(P.dim + 1):
+            code = pc.face_code(P, k).code
+            if not 0 < code.dim <= pc.ENUMERATION_CAP:
+                continue
+            if code.dim > 20:
+                large[(entry.label, k)] = pc.min_distance(code)
+                continue
+            counts = pc.weight_enumerator(code).counts
+            assert pc.min_distance(code) == min(w for w in counts if w), (entry.label, k)
+    assert large == LARGE_CORPUS_DISTANCES
 
 
 def test_weight_enumerator_examples():
@@ -201,6 +277,19 @@ def test_weight_enumerator_matches_brute_force(code):
     we = pc.weight_enumerator(code)
     assert we.counts == brute_weight_counts(code)
     assert we.doubly_even == all(w % 4 == 0 for w in we.counts)
+
+
+def test_weight_enumerator_macwilliams_invariance(monkeypatch):
+    assert pc.weight_enumerator(ext_hamming()).counts == {0: 1, 4: 14, 8: 1}
+    rm25 = pc.weight_enumerator(pc.reed_muller(2, 5))
+    assert rm25.counts == {0: 1, 8: 620, 12: 13888, 16: 36518, 20: 13888, 24: 620, 32: 1}
+    with pytest.raises(pc.TheoremViolation, match="MacWilliams"):
+        _check_macwilliams({0: 1, 4: 13, 8: 2}, 8, 4)
+    # A walk that miscounts but keeps every weight divisible by 4 passes
+    # the doubly-even routes and is caught by the transform alone.
+    monkeypatch.setattr(gf2, "_nonzero_weights", lambda code: iter([4] * 13 + [8] * 2))
+    with pytest.raises(pc.TheoremViolation, match="MacWilliams"):
+        pc.weight_enumerator(ext_hamming())
 
 
 def test_self_dual_codes_have_even_weights_and_even_min_distance():

@@ -28,7 +28,6 @@ from .facecodes import (
     face_code,
     find_coloring,
     colorability_report,
-    realizability_screen,
     self_duality_report,
 )
 from .gf2 import format_matrix, is_self_dual, min_distance
@@ -40,6 +39,7 @@ from .polytope import (
     polytope_from_json,
     polytope_to_json,
 )
+from .screen import realizability_screen
 from .verify import SUITES, corpus_subjects, run_suite
 
 __all__ = ["main"]

@@ -6,11 +6,11 @@ exact rational coordinates; the combinatorics never depends on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .polytope import SimplePolytope, validate
+from .polytope import SimplePolytope, validate, vertex_neighbors
 
 __all__ = [
     "Recipe",
@@ -27,14 +27,10 @@ __all__ = [
 
 
 def _rename(P: SimplePolytope, name: str) -> SimplePolytope:
-    return SimplePolytope(
-        dim=P.dim,
-        facets=P.facets,
-        num_vertices=P.num_vertices,
-        vertex_facets=P.vertex_facets,
-        coords=P.coords,
-        name=name,
-    )
+    # The copy differs only in its name, so everything derived so far still holds.
+    Q = replace(P, name=name)
+    Q._derived.update(P._derived)
+    return Q
 
 
 def simplex(n: int) -> SimplePolytope:
@@ -139,15 +135,11 @@ def vertex_cut(P: SimplePolytope, v: int) -> SimplePolytope:
         raise InvalidInput(f"vertex {v} out of range 0..{P.num_vertices - 1}")
     n = P.dim
     vfacets = sorted(P.vertex_facets[v])
-    neighbor_along: list[int] = []
-    for dropped in vfacets:
-        rest = P.vertex_facets[v] - {dropped}
-        shared = frozenset(range(P.num_vertices))
-        for i in rest:
-            shared = shared & P.facets[i]
-        others = shared - {v}
-        assert len(others) == 1
-        neighbor_along.append(next(iter(others)))
+    # The edge of v avoiding facet f ends at the one neighbor not on f.
+    neighbor_along = [
+        next(w for w in vertex_neighbors(P)[v] if dropped not in P.vertex_facets[w])
+        for dropped in vfacets
+    ]
 
     relabel = lambda x: x - 1 if x > v else x
     new_index = {dropped: P.num_vertices - 1 + j for j, dropped in enumerate(vfacets)}

@@ -9,7 +9,6 @@ TheoremViolation when the routes disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation
@@ -37,10 +36,6 @@ from . import constructors
 __all__ = [
     "Coloring",
     "ColorabilityReport",
-    "ScreenRule",
-    "ScreenVerdict",
-    "mallows_sloane",
-    "realizability_screen",
     "DimensionLaw",
     "DimensionLawRow",
     "DoublyEvenReport",
@@ -65,20 +60,20 @@ __all__ = [
 class FaceCode:
     """Code of one codimension, with its faces in generator order."""
 
-    polytope: SimplePolytope
     codim: int
     faces: tuple[Face, ...]
     code: LinearCode
 
 
-@lru_cache(maxsize=None)
 def face_code(P: SimplePolytope, k: int) -> FaceCode:
     """Span of the codimension-k face indicators; generator i belongs to faces[i]."""
-    faces = faces_of_codim(P, k)
-    gens = [face_indicator(P, f) for f in faces]
-    return FaceCode(
-        polytope=P, codim=k, faces=faces, code=reduce(gens, length=P.num_vertices)
-    )
+
+    def build() -> FaceCode:
+        faces = faces_of_codim(P, k)
+        gens = [face_indicator(P, f) for f in faces]
+        return FaceCode(codim=k, faces=faces, code=reduce(gens, length=P.num_vertices))
+
+    return P.derived(("face_code", k), build)
 
 
 def code_matrix(P: SimplePolytope, k: int) -> list[BitVector]:
@@ -401,13 +396,3 @@ def reed_muller_check(k: int) -> bool:
     P = constructors.cube(2 * k + 1)
     return face_code(P, k).code == reed_muller(k, 2 * k + 1)
 
-
-# The realizability screen lives in its own module but belongs to this
-# namespace; the import sits last so the screen can call back into the
-# face-code machinery at run time.
-from .screen import (  # noqa: E402
-    ScreenRule,
-    ScreenVerdict,
-    mallows_sloane,
-    realizability_screen,
-)

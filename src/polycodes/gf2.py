@@ -146,7 +146,7 @@ def distance(u: BitVector, v: BitVector) -> int:
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
-    """Row space of ``generators`` inside GF(2)^length.
+    """Subspace of GF(2)^length, kept as its canonical basis.
 
     ``basis`` is in reduced echelon form: rows sorted by pivot (the
     lowest set bit) and every pivot cleared from the other rows. Equal
@@ -154,7 +154,6 @@ class LinearCode:
     """
 
     length: int
-    generators: tuple[BitVector, ...]
     basis: tuple[BitVector, ...]
 
     @property
@@ -200,7 +199,7 @@ def reduce(generators: Iterable[BitVector], *, length: int | None = None) -> Lin
             raise InvalidInput(f"generator of length {g.length} in a code of length {length}")
     pivot_rows, _ = _eliminate([g.bits for g in gens], (1 << length) - 1)
     basis = tuple(BitVector(length, pivot_rows[p]) for p in sorted(pivot_rows))
-    return LinearCode(length=length, generators=gens, basis=basis)
+    return LinearCode(length=length, basis=basis)
 
 
 def _eliminate(rows: Iterable[int], mask: int) -> tuple[dict[int, int], list[int]]:

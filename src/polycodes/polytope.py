@@ -11,12 +11,11 @@ CLI reports them as ``polytopality: unverified``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, InvalidPolytope, TheoremViolation
 from .gf2 import BitVector
@@ -48,7 +47,12 @@ POLYTOPALITY_NOTE = "unverified (local simplicity checks only)"
 
 @dataclass(frozen=True)
 class SimplePolytope:
-    """Validated vertex-facet incidence of a simple n-polytope."""
+    """Validated vertex-facet incidence of a simple n-polytope.
+
+    Derived data (neighbors, faces, f- and h-vectors, face codes) is
+    computed once per instance and kept in a store that takes no part
+    in equality, hashing or the repr, and dies with the instance.
+    """
 
     dim: int
     facets: tuple[frozenset[int], ...]
@@ -56,6 +60,7 @@ class SimplePolytope:
     vertex_facets: tuple[frozenset[int], ...]
     coords: tuple[tuple[Fraction, ...], ...] | None = None
     name: str | None = None
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_facets(self) -> int:
@@ -63,6 +68,12 @@ class SimplePolytope:
 
     def vertices(self) -> range:
         return range(self.num_vertices)
+
+    def derived(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The value stored under ``key``, computed by ``compute()`` on first use."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
 
 @dataclass(frozen=True)
@@ -124,36 +135,94 @@ def _normalize_coords(
     return tuple(points)
 
 
-def check_incidence(
+def _group_by_subsets(
+    vertex_facets: Sequence[frozenset[int]], k: int
+) -> dict[tuple[int, ...], list[int]]:
+    """Vertices grouped by the k-subsets of their facet sets, each group ascending.
+
+    The group of a k-subset is the intersection of those k facets.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, fs in enumerate(vertex_facets):
+        for subset in combinations(sorted(fs), k):
+            groups.setdefault(subset, []).append(v)
+    return groups
+
+
+def _skeleton(
+    vertex_facets: Sequence[frozenset[int]], dim: int
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, list[int], int]]]:
+    """Edge neighbors, and every (vertex, facets, other count) that breaks the edge rule.
+
+    The edge rule: each (dim-1)-subset of a vertex's facets is shared
+    with exactly one other vertex, so every group of the (dim-1)-subset
+    grouping is one edge. Breaks come in vertex order, then by dropped
+    facet ascending.
+    """
+    groups = _group_by_subsets(vertex_facets, dim - 1)
+    neighbors: list[list[int]] = [[] for _ in vertex_facets]
+    broken = []
+    for v, fs in enumerate(vertex_facets):
+        ordered = sorted(fs)
+        for j in range(len(ordered)):
+            rest = ordered[:j] + ordered[j + 1 :]
+            group = groups[tuple(rest)]
+            if len(group) == 2:
+                neighbors[v].append(group[1] if group[0] == v else group[0])
+            else:
+                broken.append((v, rest, len(group) - 1))
+    return tuple(tuple(sorted(x)) for x in neighbors), broken
+
+
+def _reachable(
+    neighbors: Sequence[Sequence[int]], start: int, removed: frozenset[int] = frozenset()
+) -> set[int]:
+    reached = {start}
+    todo = [start]
+    while todo:
+        v = todo.pop()
+        for w in neighbors[v]:
+            if w not in removed and w not in reached:
+                reached.add(w)
+                todo.append(w)
+    return reached
+
+
+def _incidence(
     dim: int,
     facets: Iterable[Iterable[int]],
-    coords: Sequence[Sequence[object]] | None = None,
-) -> list[str]:
-    """Return the list of violated local simplicity checks (empty when valid)."""
-    violations: list[str] = []
+    coords: Sequence[Sequence[object]] | None,
+    name: str | None,
+) -> tuple[list[str], SimplePolytope | None]:
+    """The one validation pass: the violated checks, or the polytope when there are none."""
     if not isinstance(dim, int) or dim < 1:
-        return [f"dimension must be a positive integer, got {dim!r}"]
+        return [f"dimension must be a positive integer, got {dim!r}"], None
     try:
         fsets = _normalize_facets(facets)
     except InvalidInput as exc:
-        return [str(exc)]
+        return [str(exc)], None
+    violations: list[str] = []
     m = len(fsets)
     if m < dim + 1:
         violations.append(f"a {dim}-polytope needs at least {dim + 1} facets, got {m}")
     if any(not f for f in fsets):
         violations.append("facets must be nonempty")
-        return violations
+        return violations, None
     if not fsets:
-        return violations or ["no facets given"]
+        return violations or ["no facets given"], None
 
     all_vertices = set().union(*fsets)
-    num_vertices = max(all_vertices) + 1 if all_vertices else 0
+    num_vertices = max(all_vertices) + 1
     missing = sorted(set(range(num_vertices)) - all_vertices)
     if missing:
         violations.append(f"vertex indices must cover 0..{num_vertices - 1}; missing {missing}")
-        return violations
+        return violations, None
 
-    vertex_facets = [frozenset(i for i, f in enumerate(fsets) if v in f) for v in range(num_vertices)]
+    incident: list[list[int]] = [[] for _ in range(num_vertices)]
+    for i, f in enumerate(fsets):
+        for v in f:
+            incident[v].append(i)
+    vertex_facets = tuple(frozenset(fs) for fs in incident)
     bad_counts = [v for v in range(num_vertices) if len(vertex_facets[v]) != dim]
     if bad_counts:
         v = bad_counts[0]
@@ -168,51 +237,49 @@ def check_incidence(
             break
         seen[fs] = v
     if violations:
-        return violations
+        return violations, None
 
-    # Each (dim-1)-subset of a vertex's facets must be shared with exactly
-    # one other vertex; this pins down the n edges at every vertex.
-    neighbor_sets: list[set[int]] = [set() for _ in range(num_vertices)]
-    everything = frozenset(range(num_vertices))
-    bad_edges = 0
-    for v in range(num_vertices):
-        for dropped in sorted(vertex_facets[v]):
-            rest = vertex_facets[v] - {dropped}
-            shared = everything
-            for i in rest:
-                shared = shared & fsets[i]
-            others = shared - {v}
-            if len(others) == 1:
-                neighbor_sets[v].add(next(iter(others)))
-            else:
-                bad_edges += 1
-                if bad_edges <= 5:
-                    violations.append(
-                        f"vertex {v} shares facets {sorted(rest)} with "
-                        f"{len(others)} other vertices, expected exactly 1"
-                    )
-    if bad_edges > 5:
-        violations.append(f"({bad_edges - 5} further edge violations suppressed)")
+    neighbors, broken = _skeleton(vertex_facets, dim)
+    for v, rest, others in broken[:5]:
+        violations.append(
+            f"vertex {v} shares facets {rest} with {others} other vertices, expected exactly 1"
+        )
+    if len(broken) > 5:
+        violations.append(f"({len(broken) - 5} further edge violations suppressed)")
     if violations:
-        return violations
+        return violations, None
 
-    # Connectivity of the 1-skeleton.
-    todo = [0]
-    reached = {0}
-    while todo:
-        v = todo.pop()
-        for w in neighbor_sets[v]:
-            if w not in reached:
-                reached.add(w)
-                todo.append(w)
-    if len(reached) != num_vertices:
-        violations.append(f"1-skeleton is disconnected ({len(reached)} of {num_vertices} reachable)")
-
+    reached = len(_reachable(neighbors, 0))
+    if reached != num_vertices:
+        violations.append(f"1-skeleton is disconnected ({reached} of {num_vertices} reachable)")
+    norm_coords = None
     if coords is not None:
         normalized = _normalize_coords(coords, dim, num_vertices)
         if isinstance(normalized, list):
             violations.extend(normalized)
-    return violations
+        else:
+            norm_coords = normalized
+    if violations:
+        return violations, None
+    P = SimplePolytope(
+        dim=dim,
+        facets=fsets,
+        num_vertices=num_vertices,
+        vertex_facets=vertex_facets,
+        coords=norm_coords,
+        name=name,
+    )
+    P.derived("neighbors", lambda: neighbors)
+    return [], P
+
+
+def check_incidence(
+    dim: int,
+    facets: Iterable[Iterable[int]],
+    coords: Sequence[Sequence[object]] | None = None,
+) -> list[str]:
+    """Return the list of violated local simplicity checks (empty when valid)."""
+    return _incidence(dim, facets, coords, None)[0]
 
 
 def validate(
@@ -222,50 +289,21 @@ def validate(
     name: str | None = None,
 ) -> SimplePolytope:
     """Build a SimplePolytope, raising InvalidPolytope with every violated check."""
-    facets = [list(f) for f in facets]
-    violations = check_incidence(dim, facets, coords)
+    violations, P = _incidence(dim, facets, coords, name)
     if violations:
         raise InvalidPolytope(violations)
-    fsets = _normalize_facets(facets)
-    num_vertices = max(set().union(*fsets)) + 1
-    vertex_facets = tuple(
-        frozenset(i for i, f in enumerate(fsets) if v in f) for v in range(num_vertices)
-    )
-    norm_coords = None
-    if coords is not None:
-        normalized = _normalize_coords(coords, dim, num_vertices)
-        assert not isinstance(normalized, list)
-        norm_coords = normalized
-    return SimplePolytope(
-        dim=dim,
-        facets=fsets,
-        num_vertices=num_vertices,
-        vertex_facets=vertex_facets,
-        coords=norm_coords,
-        name=name,
-    )
+    return P
 
 
-@lru_cache(maxsize=None)
 def vertex_neighbors(P: SimplePolytope) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists of the 1-skeleton, each sorted ascending."""
-    n = P.dim
-    nbrs: list[list[int]] = [[] for _ in range(P.num_vertices)]
-    for u in range(P.num_vertices):
-        for w in range(u + 1, P.num_vertices):
-            if len(P.vertex_facets[u] & P.vertex_facets[w]) == n - 1:
-                nbrs[u].append(w)
-                nbrs[w].append(u)
-    return tuple(tuple(sorted(x)) for x in nbrs)
+    return P.derived("neighbors", lambda: _skeleton(P.vertex_facets, P.dim)[0])
 
 
-@lru_cache(maxsize=None)
 def edges(P: SimplePolytope) -> tuple[tuple[int, int], ...]:
     """Vertex pairs sharing exactly dim - 1 facets, sorted."""
-    out = []
-    for u, nbrs in enumerate(vertex_neighbors(P)):
-        out.extend((u, w) for w in nbrs if u < w)
-    return tuple(sorted(out))
+    nbrs = vertex_neighbors(P)
+    return tuple((u, w) for u in P.vertices() for w in nbrs[u] if u < w)
 
 
 def skeleton_connected(P: SimplePolytope, removed: frozenset[int] = frozenset()) -> bool:
@@ -273,41 +311,27 @@ def skeleton_connected(P: SimplePolytope, removed: frozenset[int] = frozenset())
     alive = [v for v in range(P.num_vertices) if v not in removed]
     if not alive:
         return False
-    nbrs = vertex_neighbors(P)
-    reached = {alive[0]}
-    todo = [alive[0]]
-    while todo:
-        v = todo.pop()
-        for w in nbrs[v]:
-            if w not in removed and w not in reached:
-                reached.add(w)
-                todo.append(w)
-    return len(reached) == len(alive)
+    return len(_reachable(vertex_neighbors(P), alive[0], removed)) == len(alive)
 
 
-@lru_cache(maxsize=None)
 def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     """All codimension-k faces, ordered by their defining facet tuples.
 
-    Candidates are the k-subsets of facets through each vertex; the
-    vertex set of a face is the exact intersection of its defining
-    facets. Codimension 0 is the polytope itself with no defining
-    facets, codimension n has one face per vertex.
+    In a simple polytope every codimension-k face is cut out by exactly
+    k facets, so grouping the vertices by the k-subsets of their facet
+    sets yields each face with its vertex set. Codimension 0 is the
+    polytope itself with no defining facets, codimension n has one face
+    per vertex.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
-    if k == 0:
-        return (Face(0, (), frozenset(range(P.num_vertices))),)
-    candidates: set[tuple[int, ...]] = set()
-    for fs in P.vertex_facets:
-        candidates.update(combinations(sorted(fs), k))
-    out = []
-    for defining in sorted(candidates):
-        vs = P.facets[defining[0]]
-        for i in defining[1:]:
-            vs = vs & P.facets[i]
-        out.append(Face(codim=k, defining_facets=defining, vertex_set=vs))
-    return tuple(out)
+    return P.derived(
+        ("faces", k),
+        lambda: tuple(
+            Face(codim=k, defining_facets=defining, vertex_set=frozenset(vs))
+            for defining, vs in sorted(_group_by_subsets(P.vertex_facets, k).items())
+        ),
+    )
 
 
 def face_indicator(P: SimplePolytope, face: Face) -> BitVector:
@@ -315,27 +339,35 @@ def face_indicator(P: SimplePolytope, face: Face) -> BitVector:
     return BitVector.from_support(P.num_vertices, face.vertex_set)
 
 
-@lru_cache(maxsize=None)
 def fh_vectors(P: SimplePolytope) -> FHVectors:
     """Face counts by codimension and the h-vector.
 
-    h is recovered from sum_i f_i (t-1)^(n-i) = sum_i h_i t^(n-i) with
-    exact integer arithmetic; its symmetry is asserted.
+    f_k counts the distinct k-subsets of the vertices' facet sets. h is
+    recovered from sum_i f_i (t-1)^(n-i) = sum_i h_i t^(n-i) with exact
+    integer arithmetic; its symmetry is asserted.
     """
-    n = P.dim
-    f = tuple(len(faces_of_codim(P, k)) for k in range(n + 1))
-    h = []
-    for i in range(n + 1):
-        acc = 0
-        for j in range(i + 1):
-            acc += f[j] * comb(n - j, n - i) * (-1) ** (i - j)
-        h.append(acc)
-    if h != h[::-1]:
-        raise TheoremViolation(
-            f"h-vector {tuple(h)} is not symmetric; "
-            "the incidence data cannot come from a simple polytope"
+
+    def build() -> FHVectors:
+        n = P.dim
+        ordered = [sorted(fs) for fs in P.vertex_facets]
+        f = tuple(
+            len({subset for fs in ordered for subset in combinations(fs, k)})
+            for k in range(n + 1)
         )
-    return FHVectors(f=f, h=tuple(h))
+        h = []
+        for i in range(n + 1):
+            acc = 0
+            for j in range(i + 1):
+                acc += f[j] * comb(n - j, n - i) * (-1) ** (i - j)
+            h.append(acc)
+        if h != h[::-1]:
+            raise TheoremViolation(
+                f"h-vector {tuple(h)} is not symmetric; "
+                "the incidence data cannot come from a simple polytope"
+            )
+        return FHVectors(f=f, h=tuple(h))
+
+    return P.derived("fh", build)
 
 
 @dataclass(frozen=True)

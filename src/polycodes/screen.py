@@ -14,6 +14,7 @@ from typing import Callable
 
 from .constructors import Recipe
 from .errors import Inapplicable, InvalidInput, TheoremViolation
+from .facecodes import face_code
 from .gf2 import LinearCode, is_self_dual, min_distance, weight_enumerator
 
 __all__ = [
@@ -71,9 +72,6 @@ def mallows_sloane(l: int) -> tuple[int, Callable[[LinearCode], bool]]:
 
 
 def _verify_witness(recipe: Recipe, l: int, d: int, doubly_even: bool) -> ScreenRule:
-    # Deferred import: facecodes re-exports this module.
-    from .facecodes import face_code
-
     P = recipe.build()
     code = face_code(P, (P.dim - 1) // 2).code
     problems = []

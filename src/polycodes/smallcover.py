@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import InvalidInput, TheoremViolation
 from .facecodes import Coloring, colorability_report
+from .gf2 import BitVector, reduce
 from .polytope import SimplePolytope, fh_vectors
 
 __all__ = [
@@ -45,15 +46,8 @@ class VectorColoring:
                 )
 
 
-def _int_rank(vectors: list[int]) -> int:
-    # Plain elimination on packed ints; colors are tiny, no need for BitVector.
-    pivots: list[int] = []
-    for v in vectors:
-        for p in pivots:
-            v = min(v, v ^ p)
-        if v:
-            pivots.append(v)
-    return len(pivots)
+def _rank(r: int, colors: Iterable[int]) -> int:
+    return reduce((BitVector(r, c) for c in colors), length=r).dim
 
 
 def _check_facet_count(P: SimplePolytope, mu: VectorColoring) -> None:
@@ -69,14 +63,14 @@ def validate_characteristic(P: SimplePolytope, lam: VectorColoring) -> bool:
     if lam.r != P.dim:
         raise InvalidInput(f"ambient rank {lam.r} must equal the dimension {P.dim}")
     return all(
-        _int_rank([lam.colors[i] for i in fs]) == P.dim for fs in P.vertex_facets
+        _rank(lam.r, (lam.colors[i] for i in fs)) == P.dim for fs in P.vertex_facets
     )
 
 
 def component_count(P: SimplePolytope, mu: VectorColoring) -> int:
     """Number of components of the glued space: 2^(r - rank of the color span)."""
     _check_facet_count(P, mu)
-    return 2 ** (mu.r - _int_rank(list(mu.colors)))
+    return 2 ** (mu.r - _rank(mu.r, mu.colors))
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ def admits_regular_m_involution(P: SimplePolytope, lam: VectorColoring) -> Invol
     if not validate_characteristic(P, lam):
         raise InvalidInput("the coloring is not characteristic for this polytope")
     image = set(lam.colors)
-    admits = len(image) == P.dim and _int_rank(sorted(image)) == P.dim
+    admits = len(image) == P.dim and _rank(lam.r, image) == P.dim
     if not admits:
         return InvolutionReport(admits=False, fixed_points=None, betti=None)
     report = colorability_report(P)

@@ -20,14 +20,13 @@ from .facecodes import (
     doubly_even_report,
     duality_complement_check,
     face_code,
-    mallows_sloane,
     min_distance_bound_check,
-    realizability_screen,
     self_duality_report,
 )
 from .gf2 import is_self_dual
 from .morse import extract_basis, generic_height, index_histogram
 from .polytope import SimplePolytope, fh_vectors, is_even
+from .screen import mallows_sloane, realizability_screen
 
 __all__ = ["CheckResult", "SUITES", "corpus_subjects", "run_suite"]
 

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's own algorithms: spans are
 enumerated by subset XOR, h-vectors come from literal polynomial
-multiplication, faces from global subset intersections. Frozen golden
-values in the test files were produced by these oracles.
+multiplication, faces from global subset intersections, edge neighbors
+from a scan of all vertex pairs. Frozen golden values in the test files
+were produced by these oracles.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ def faces_by_global_intersection(
         if containing == frozenset(subset):
             faces[subset] = frozenset(vs)
     return faces
+
+
+def neighbors_by_pair_scan(P: pc.SimplePolytope) -> tuple[tuple[int, ...], ...]:
+    """Adjacency lists from all vertex pairs sharing exactly dim - 1 facets."""
+    nbrs: list[list[int]] = [[] for _ in range(P.num_vertices)]
+    for u, w in itertools.combinations(range(P.num_vertices), 2):
+        if len(P.vertex_facets[u] & P.vertex_facets[w]) == P.dim - 1:
+            nbrs[u].append(w)
+            nbrs[w].append(u)
+    return tuple(tuple(x) for x in nbrs)
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:

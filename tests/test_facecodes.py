@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,15 @@ def test_face_code_rejects_bad_codim():
         pc.face_code(pc.cube(3), 4)
     with pytest.raises(pc.InvalidInput):
         pc.face_code(pc.cube(3), -1)
+
+
+def test_face_code_does_not_keep_the_polytope_alive():
+    P = pc.cube(4)
+    pc.face_code(P, 1)
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is None
 
 
 def test_faces_match_global_intersection_oracle():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 
 import polycodes as pc
 
-from helpers import faces_by_global_intersection, h_from_f_by_polynomial, recipe_texts
+from helpers import (
+    faces_by_global_intersection,
+    h_from_f_by_polynomial,
+    neighbors_by_pair_scan,
+    recipe_texts,
+)
 
 TETRAHEDRON_FACETS = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
 
@@ -59,6 +65,63 @@ def test_check_incidence_reports_without_raising():
     reasons = pc.check_incidence(2, [{0, 1}, {1, 2}])
     assert reasons
     assert pc.check_incidence(2, [{0, 1}, {1, 2}, {2, 0}]) == []
+
+
+def _edge_rule_message(v, facets, others):
+    return f"vertex {v} shares facets {facets} with {others} other vertices, expected exactly 1"
+
+
+# Violation lists pinned exactly: text, order and count.
+PINNED_VIOLATIONS = [
+    (
+        3,
+        [set(f) - ({0} if i == 0 else set()) for i, f in enumerate(pc.cube(3).facets)],
+        ["every vertex must lie in exactly 3 facets; vertex 0 lies in 2 (1 offender(s))"],
+    ),
+    (
+        3,
+        [{0, 1, 4, 5}, {1, 2, 4, 5}, {2, 3, 4, 5}, {3, 0, 4, 5}],
+        [
+            "every vertex must lie in exactly 3 facets; vertex 0 lies in 2 (6 offender(s))",
+            "vertices 4 and 5 lie in the same facet set",
+        ],
+    ),
+    (
+        2,
+        [{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}],
+        ["1-skeleton is disconnected (3 of 6 reachable)"],
+    ),
+    (
+        2,
+        [{0, 1, 2}, {0, 3}, {1, 3}, {2, 4}, {4}],
+        [
+            _edge_rule_message(0, [0], 2),
+            _edge_rule_message(1, [0], 2),
+            _edge_rule_message(2, [0], 2),
+            _edge_rule_message(4, [4], 0),
+        ],
+    ),
+    (
+        2,
+        [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}] + [{v} for v in range(9)],
+        [
+            _edge_rule_message(0, [3], 0),
+            _edge_rule_message(0, [0], 2),
+            _edge_rule_message(1, [4], 0),
+            _edge_rule_message(1, [0], 2),
+            _edge_rule_message(2, [5], 0),
+            "(13 further edge violations suppressed)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("dim, facets, expected", PINNED_VIOLATIONS)
+def test_check_incidence_pins_violation_lists(dim, facets, expected):
+    assert pc.check_incidence(dim, facets) == expected
+    with pytest.raises(pc.InvalidPolytope) as err:
+        pc.validate(dim, facets)
+    assert list(err.value.reasons) == expected
 
 
 def test_faces_of_codim_counts_on_cube():
@@ -149,6 +212,31 @@ def test_edges_equal_codim_n_minus_1_faces():
     for P in (pc.cube(3), pc.prism(6), pc.simplex(4)):
         face_sets = {f.vertex_set for f in pc.faces_of_codim(P, P.dim - 1)}
         assert {frozenset(e) for e in pc.edges(P)} == face_sets
+
+
+@pytest.mark.parametrize("entry", pc.corpus(), ids=lambda e: e.label)
+def test_neighbors_and_edges_match_pair_scan_oracle(entry):
+    P = entry.build()
+    oracle = neighbors_by_pair_scan(P)
+    assert pc.vertex_neighbors(P) == oracle
+    assert pc.edges(P) == tuple((u, w) for u in P.vertices() for w in oracle[u] if u < w)
+
+
+@settings(deadline=None, max_examples=25)
+@given(recipe_texts)
+def test_neighbors_match_pair_scan_oracle_on_random_recipes(text):
+    P = pc.parse_recipe(text).build()
+    oracle = neighbors_by_pair_scan(P)
+    assert pc.vertex_neighbors(P) == oracle
+    # A copy that carries no derived data recomputes the same neighbors.
+    assert pc.vertex_neighbors(dataclasses.replace(P, name="copy")) == oracle
+
+
+def test_derived_data_is_not_part_of_equality_or_hash():
+    P, Q = pc.cube(3), pc.cube(3)
+    pc.face_code(P, 1)
+    pc.fh_vectors(P)
+    assert P == Q and hash(P) == hash(Q) and repr(P) == repr(Q)
 
 
 def test_outward_map_square_facet_of_hexagonal_prism():

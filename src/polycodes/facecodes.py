@@ -30,6 +30,7 @@ from .polytope import (
     faces_of_codim,
     fh_vectors,
     is_even,
+    vertex_neighbors,
 )
 from . import constructors
 
@@ -107,40 +108,46 @@ def coloring_is_proper(P: SimplePolytope, coloring: Coloring) -> bool:
 
 
 def find_coloring(P: SimplePolytope) -> Coloring | None:
-    """Backtracking search for a proper coloring of facets with dim colors.
+    """The proper coloring of facets with dim colors, or None when there is none.
 
-    Facets are adjacent when their vertex sets meet. Facets are
-    processed in index order and colors tried ascending, so the first
-    facet always receives color 0 and the output is canonical.
+    No search is needed. A vertex sees dim distinct colors and the ends of
+    an edge v-w share dim - 1 facets, so the facet w gains takes the color
+    of the facet v drops. Fixing the colors at vertex 0 thus forces every
+    color along one walk of the connected skeleton, and a conflict on the
+    way rules out every proper coloring. The walk stops once every facet
+    has a color, so the result is kept only when ``coloring_is_proper``
+    accepts it. That decides correctly: a proper coloring, permuted to
+    agree at vertex 0, agrees with every forced color, so it is the forced
+    coloring.
+
+    A proper coloring is therefore unique up to a permutation of colors.
+    Numbering colors by first appearance in facet order returns the
+    lexicographically first one.
     """
-    n, m = P.dim, P.num_facets
-    adjacent: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if P.facets[i] & P.facets[j]:
-                adjacent[i].append(j)
-                adjacent[j].append(i)
-    colors = [-1] * m
-
-    def extend(i: int) -> bool:
-        if i == m:
-            return True
-        used = {colors[j] for j in adjacent[i] if colors[j] >= 0}
-        for c in range(n):
-            if c in used:
-                continue
-            colors[i] = c
-            if extend(i + 1):
-                return True
-        colors[i] = -1
-        return False
-
-    if not extend(0):
-        return None
-    found = Coloring(num_colors=n, colors=tuple(colors))
-    if not coloring_is_proper(P, found):
-        raise TheoremViolation("backtracking produced an improper coloring")
-    return found
+    vf = P.vertex_facets
+    nbrs = vertex_neighbors(P)
+    colors = [-1] * P.num_facets
+    for c, i in enumerate(sorted(vf[0])):
+        colors[i] = c
+    uncolored = P.num_facets - P.dim
+    seen = {0}
+    todo = [0]
+    while todo and uncolored:
+        v = todo.pop()
+        for w in nbrs[v]:
+            (a,) = vf[v] - vf[w]
+            (b,) = vf[w] - vf[v]
+            if colors[b] < 0:
+                colors[b] = colors[a]
+                uncolored -= 1
+            elif colors[b] != colors[a]:
+                return None
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    first = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+    found = Coloring(num_colors=P.dim, colors=tuple(first[c] for c in colors))
+    return found if coloring_is_proper(P, found) else None
 
 
 def _perfect_cover_partition(P: SimplePolytope, coloring: Coloring | None) -> bool:
@@ -170,7 +177,7 @@ def colorability_report(P: SimplePolytope) -> ColorabilityReport:
 
     Below dimension 3 the equivalences break down (odd polygons satisfy
     the dimension formula without being 2-colorable), so only the direct
-    search runs and the report carries a degenerate-dimension flag.
+    coloring runs and the report carries a degenerate-dimension flag.
     """
     coloring = find_coloring(P)
     if P.dim < 3:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -23,7 +23,6 @@ from .gf2 import BitVector
 __all__ = [
     "FHVectors",
     "Face",
-    "OutwardMap",
     "POLYTOPALITY_NOTE",
     "SimplePolytope",
     "check_incidence",
@@ -31,9 +30,7 @@ __all__ = [
     "face_indicator",
     "faces_of_codim",
     "fh_vectors",
-    "incidence_isomorphic",
     "is_even",
-    "outward_neighbor_map",
     "polytope_from_json",
     "polytope_to_json",
     "polytope_to_json_dict",
@@ -211,11 +208,18 @@ def _incidence(
     if not fsets:
         return violations or ["no facets given"], None
 
-    all_vertices = set().union(*fsets)
-    num_vertices = max(all_vertices) + 1
-    missing = sorted(set(range(num_vertices)) - all_vertices)
-    if missing:
-        violations.append(f"vertex indices must cover 0..{num_vertices - 1}; missing {missing}")
+    present = sorted(set().union(*fsets))
+    num_vertices = present[-1] + 1
+    num_missing = num_vertices - len(present)
+    if num_missing:
+        # Read from the gaps between present indices: nothing is allocated
+        # in proportion to the largest index.
+        gaps = (range(lo + 1, hi) for lo, hi in zip([-1, *present], present))
+        shown = list(islice(chain.from_iterable(gaps), 5))
+        more = f" and {num_missing - 5} more" if num_missing > 5 else ""
+        violations.append(
+            f"vertex indices must cover 0..{num_vertices - 1}; missing {shown}{more}"
+        )
         return violations, None
 
     incident: list[list[int]] = [[] for _ in range(num_vertices)]
@@ -370,43 +374,6 @@ def fh_vectors(P: SimplePolytope) -> FHVectors:
     return P.derived("fh", build)
 
 
-@dataclass(frozen=True)
-class OutwardMap:
-    """Per-facet map sending each vertex of the facet to its unique neighbor outside."""
-
-    facet: int
-    pairs: tuple[tuple[int, int], ...]
-    injective: bool
-    image_is_complement: bool
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-
-def outward_neighbor_map(P: SimplePolytope, facet_index: int) -> OutwardMap:
-    """For facet F, map each v in F to its unique edge neighbor not in F."""
-    if not 0 <= facet_index < P.num_facets:
-        raise InvalidInput(f"facet index {facet_index} out of range")
-    fac = P.facets[facet_index]
-    nbrs = vertex_neighbors(P)
-    pairs = []
-    for v in sorted(fac):
-        outside = [w for w in nbrs[v] if facet_index not in P.vertex_facets[w]]
-        if len(outside) != 1:
-            raise TheoremViolation(
-                f"vertex {v} of facet {facet_index} has {len(outside)} outward neighbors"
-            )
-        pairs.append((v, outside[0]))
-    image = {w for _, w in pairs}
-    complement = set(range(P.num_vertices)) - fac
-    return OutwardMap(
-        facet=facet_index,
-        pairs=tuple(pairs),
-        injective=len(image) == len(pairs),
-        image_is_complement=image == complement,
-    )
-
-
 def is_even(P: SimplePolytope) -> bool:
     """Whether every 2-face has an even vertex count.
 
@@ -418,56 +385,6 @@ def is_even(P: SimplePolytope) -> bool:
     if P.dim == 2:
         return P.num_vertices % 2 == 0
     return all(f.num_vertices % 2 == 0 for f in faces_of_codim(P, P.dim - 2))
-
-
-def _facet_profile(facets: Sequence[frozenset[int]], i: int) -> tuple:
-    sizes = sorted(len(facets[i] & facets[j]) for j in range(len(facets)) if j != i)
-    return (len(facets[i]), tuple(sizes))
-
-
-def incidence_isomorphic(P: SimplePolytope, Q: SimplePolytope) -> bool:
-    """Whether some facet bijection carries the incidence of P onto Q."""
-    if (P.dim, P.num_facets, P.num_vertices) != (Q.dim, Q.num_facets, Q.num_vertices):
-        return False
-    m = P.num_facets
-    p_prof = [_facet_profile(P.facets, i) for i in range(m)]
-    q_prof = [_facet_profile(Q.facets, i) for i in range(m)]
-    if sorted(p_prof) != sorted(q_prof):
-        return False
-    q_vertex_by_facets = {fs: v for v, fs in enumerate(Q.vertex_facets)}
-    assignment: list[int] = []
-    used = [False] * m
-
-    def vertex_map_exists() -> bool:
-        seen = set()
-        for fs in P.vertex_facets:
-            image = frozenset(assignment[i] for i in fs)
-            w = q_vertex_by_facets.get(image)
-            if w is None or w in seen:
-                return False
-            seen.add(w)
-        return True
-
-    def extend(i: int) -> bool:
-        if i == m:
-            return vertex_map_exists()
-        for j in range(m):
-            if used[j] or p_prof[i] != q_prof[j]:
-                continue
-            if any(
-                len(P.facets[i] & P.facets[a]) != len(Q.facets[j] & Q.facets[assignment[a]])
-                for a in range(i)
-            ):
-                continue
-            assignment.append(j)
-            used[j] = True
-            if extend(i + 1):
-                return True
-            assignment.pop()
-            used[j] = False
-        return False
-
-    return extend(0)
 
 
 def polytope_to_json_dict(P: SimplePolytope) -> dict:

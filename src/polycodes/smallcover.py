@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import InvalidInput, TheoremViolation
 from .facecodes import Coloring, colorability_report
-from .gf2 import BitVector, reduce
+from .gf2 import _eliminate
 from .polytope import SimplePolytope, fh_vectors
 
 __all__ = [
@@ -47,7 +47,7 @@ class VectorColoring:
 
 
 def _rank(r: int, colors: Iterable[int]) -> int:
-    return reduce((BitVector(r, c) for c in colors), length=r).dim
+    return len(_eliminate(colors, (1 << r) - 1)[0])
 
 
 def _check_facet_count(P: SimplePolytope, mu: VectorColoring) -> None:

@@ -3,14 +3,18 @@
 Oracles here deliberately avoid the library's own algorithms: spans are
 enumerated by subset XOR, h-vectors come from literal polynomial
 multiplication, faces from global subset intersections, edge neighbors
-from a scan of all vertex pairs. Frozen golden values in the test files
-were produced by these oracles.
+from a scan of all vertex pairs, facet colorings from a backtracking
+search over facets and incidence isomorphism from a search over facet
+bijections. Frozen golden values in the test files were produced by
+these oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -71,6 +75,127 @@ def neighbors_by_pair_scan(P: pc.SimplePolytope) -> tuple[tuple[int, ...], ...]:
             nbrs[u].append(w)
             nbrs[w].append(u)
     return tuple(tuple(x) for x in nbrs)
+
+
+def coloring_by_backtracking(P: pc.SimplePolytope) -> pc.Coloring | None:
+    """First proper dim-coloring found by backtracking over facets in index order.
+
+    Facets are adjacent when their vertex sets meet. Colors are tried
+    ascending, so the result is the lexicographically first proper
+    coloring.
+    """
+    n, m = P.dim, P.num_facets
+    adjacent: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if P.facets[i] & P.facets[j]:
+                adjacent[i].append(j)
+                adjacent[j].append(i)
+    colors = [-1] * m
+
+    def extend(i: int) -> bool:
+        if i == m:
+            return True
+        used = {colors[j] for j in adjacent[i] if colors[j] >= 0}
+        for c in range(n):
+            if c in used:
+                continue
+            colors[i] = c
+            if extend(i + 1):
+                return True
+        colors[i] = -1
+        return False
+
+    if not extend(0):
+        return None
+    return pc.Coloring(num_colors=n, colors=tuple(colors))
+
+
+@dataclass(frozen=True)
+class OutwardMap:
+    """Per-facet map sending each vertex of the facet to its unique neighbor outside."""
+
+    facet: int
+    pairs: tuple[tuple[int, int], ...]
+    injective: bool
+    image_is_complement: bool
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.pairs)
+
+
+def outward_neighbor_map(P: pc.SimplePolytope, facet_index: int) -> OutwardMap:
+    """For facet F, map each v in F to its unique edge neighbor not in F."""
+    if not 0 <= facet_index < P.num_facets:
+        raise pc.InvalidInput(f"facet index {facet_index} out of range")
+    fac = P.facets[facet_index]
+    nbrs = pc.vertex_neighbors(P)
+    pairs = []
+    for v in sorted(fac):
+        outside = [w for w in nbrs[v] if facet_index not in P.vertex_facets[w]]
+        if len(outside) != 1:
+            raise pc.TheoremViolation(
+                f"vertex {v} of facet {facet_index} has {len(outside)} outward neighbors"
+            )
+        pairs.append((v, outside[0]))
+    image = {w for _, w in pairs}
+    complement = set(range(P.num_vertices)) - fac
+    return OutwardMap(
+        facet=facet_index,
+        pairs=tuple(pairs),
+        injective=len(image) == len(pairs),
+        image_is_complement=image == complement,
+    )
+
+
+def _facet_profile(facets: Sequence[frozenset[int]], i: int) -> tuple:
+    sizes = sorted(len(facets[i] & facets[j]) for j in range(len(facets)) if j != i)
+    return (len(facets[i]), tuple(sizes))
+
+
+def incidence_isomorphic(P: pc.SimplePolytope, Q: pc.SimplePolytope) -> bool:
+    """Whether some facet bijection carries the incidence of P onto Q."""
+    if (P.dim, P.num_facets, P.num_vertices) != (Q.dim, Q.num_facets, Q.num_vertices):
+        return False
+    m = P.num_facets
+    p_prof = [_facet_profile(P.facets, i) for i in range(m)]
+    q_prof = [_facet_profile(Q.facets, i) for i in range(m)]
+    if sorted(p_prof) != sorted(q_prof):
+        return False
+    q_vertex_by_facets = {fs: v for v, fs in enumerate(Q.vertex_facets)}
+    assignment: list[int] = []
+    used = [False] * m
+
+    def vertex_map_exists() -> bool:
+        seen = set()
+        for fs in P.vertex_facets:
+            image = frozenset(assignment[i] for i in fs)
+            w = q_vertex_by_facets.get(image)
+            if w is None or w in seen:
+                return False
+            seen.add(w)
+        return True
+
+    def extend(i: int) -> bool:
+        if i == m:
+            return vertex_map_exists()
+        for j in range(m):
+            if used[j] or p_prof[i] != q_prof[j]:
+                continue
+            if any(
+                len(P.facets[i] & P.facets[a]) != len(Q.facets[j] & Q.facets[assignment[a]])
+                for a in range(i)
+            ):
+                continue
+            assignment.append(j)
+            used[j] = True
+            if extend(i + 1):
+                return True
+            assignment.pop()
+            used[j] = False
+        return False
+
+    return extend(0)
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:

@@ -206,6 +206,18 @@ def test_color_degenerate_dimension(capsys):
     assert out == "colorable: no\nnote: dimension 2 below 3, direct search only\n"
 
 
+@pytest.mark.parametrize(
+    "recipe, answer", [("polygon 1000", "yes"), ("polygon 1001", "no")]
+)
+def test_color_answers_on_a_thousand_facets(recipe, answer):
+    proc = subprocess.run(
+        [*CLI, "color", recipe], capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"colorable: {answer}\n")
+    assert proc.stderr == ""
+
+
 def test_color_json(capsys):
     rc, out = run(capsys, ["color", "simplex 3", "--json"])
     assert rc == 0

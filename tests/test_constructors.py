@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import polycodes as pc
 
-from helpers import h_from_f_by_polynomial, recipe_texts
+from helpers import h_from_f_by_polynomial, incidence_isomorphic, recipe_texts
 
 
 # ---------------------------------------------------------------- families
@@ -45,7 +45,7 @@ def test_polygon_counts_and_cyclic_edges():
 
 
 def test_triangle_is_the_two_simplex():
-    assert pc.incidence_isomorphic(pc.polygon(3), pc.simplex(2))
+    assert incidence_isomorphic(pc.polygon(3), pc.simplex(2))
 
 
 def test_polygon_rejects_too_few_vertices():
@@ -62,7 +62,7 @@ def test_cube_counts():
     P = pc.cube(3)
     assert (P.dim, P.num_vertices, len(P.facets)) == (3, 8, 6)
     Q = pc.cube(1)
-    assert pc.incidence_isomorphic(Q, pc.segment())
+    assert incidence_isomorphic(Q, pc.segment())
 
 
 def test_cube_labeling_contract():
@@ -104,13 +104,13 @@ def test_segment_shape():
 
 
 def test_square_two_ways():
-    assert pc.incidence_isomorphic(
+    assert incidence_isomorphic(
         pc.product(pc.segment(), pc.segment()), pc.polygon(4)
     )
 
 
 def test_prism_over_square_is_the_cube():
-    assert pc.incidence_isomorphic(
+    assert incidence_isomorphic(
         pc.product(pc.polygon(4), pc.segment()), pc.cube(3)
     )
 
@@ -152,7 +152,7 @@ def test_product_h_polynomial_multiplies():
 
 
 def test_prism_is_polygon_times_segment():
-    assert pc.incidence_isomorphic(
+    assert incidence_isomorphic(
         pc.prism(6), pc.product(pc.polygon(6), pc.segment())
     )
 
@@ -270,7 +270,7 @@ def test_recipe_text_round_trips():
 
 
 def test_recipe_build_matches_direct_calls():
-    assert pc.incidence_isomorphic(
+    assert incidence_isomorphic(
         pc.parse_recipe("product (polygon 4) (segment)").build(), pc.cube(3)
     )
 

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 
 import polycodes as pc
 
-from helpers import all_codewords, faces_by_global_intersection, recipe_texts
+from helpers import (
+    all_codewords,
+    coloring_by_backtracking,
+    faces_by_global_intersection,
+    recipe_texts,
+)
 
 PRISM6_MATRIX = (
     "10000110",
@@ -166,6 +171,29 @@ def test_polygon_colorability_is_degenerate():
     assert not r5.colorable and r5.degenerate_dimension and r5.criteria is None
     r6 = pc.colorability_report(pc.polygon(6))
     assert r6.colorable and r6.degenerate_dimension
+
+
+@pytest.mark.parametrize("entry", pc.corpus(), ids=lambda e: e.label)
+def test_find_coloring_matches_backtracking_on_corpus(entry):
+    P = entry.build()
+    assert pc.find_coloring(P) == coloring_by_backtracking(P)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=recipe_texts)
+def test_find_coloring_matches_backtracking_on_random_recipes(text):
+    P = pc.parse_recipe(text).build()
+    assert pc.find_coloring(P) == coloring_by_backtracking(P)
+
+
+def test_find_coloring_on_a_thousand_facet_prism():
+    # Beyond the interpreter's recursion limit for a search with one
+    # frame per facet.
+    P = pc.prism(1000)
+    found = pc.find_coloring(P)
+    assert found is not None and pc.coloring_is_proper(P, found)
+    assert list(dict.fromkeys(found.colors)) == list(range(P.dim))
+    assert pc.find_coloring(pc.prism(1001)) is None
 
 
 def test_coloring_is_proper_validates_length():

@@ -15,7 +15,9 @@ import polycodes as pc
 from helpers import (
     faces_by_global_intersection,
     h_from_f_by_polynomial,
+    incidence_isomorphic,
     neighbors_by_pair_scan,
+    outward_neighbor_map,
     recipe_texts,
 )
 
@@ -113,6 +115,16 @@ PINNED_VIOLATIONS = [
             "(13 further edge violations suppressed)",
         ],
     ),
+    (
+        2,
+        [{0, 1}, {1, 3}, {3, 0}],
+        ["vertex indices must cover 0..3; missing [2]"],
+    ),
+    (
+        2,
+        [{0, 1}, {1, 12}, {12, 0}],
+        ["vertex indices must cover 0..12; missing [2, 3, 4, 5, 6] and 5 more"],
+    ),
 ]
 
 
@@ -122,6 +134,13 @@ def test_check_incidence_pins_violation_lists(dim, facets, expected):
     with pytest.raises(pc.InvalidPolytope) as err:
         pc.validate(dim, facets)
     assert list(err.value.reasons) == expected
+
+
+def test_missing_vertex_indices_are_counted_not_listed():
+    reasons = pc.check_incidence(2, [{0, 1}, {1, 200_000}, {200_000, 0}])
+    assert reasons == [
+        "vertex indices must cover 0..200000; missing [2, 3, 4, 5, 6] and 199993 more"
+    ]
 
 
 def test_faces_of_codim_counts_on_cube():
@@ -240,7 +259,7 @@ def test_derived_data_is_not_part_of_equality_or_hash():
 
 
 def test_outward_map_square_facet_of_hexagonal_prism():
-    out = pc.outward_neighbor_map(pc.prism(6), 2)
+    out = outward_neighbor_map(pc.prism(6), 2)
     assert out.as_dict() == {4: 2, 5: 3, 6: 8, 7: 9}
     assert out.injective
 
@@ -248,14 +267,14 @@ def test_outward_map_square_facet_of_hexagonal_prism():
 def test_outward_map_on_cube_hits_opposite_facet():
     P = pc.cube(3)
     for facet in range(6):
-        out = pc.outward_neighbor_map(P, facet)
+        out = outward_neighbor_map(P, facet)
         assert out.injective and out.image_is_complement
         opposite = facet + 1 if facet % 2 == 0 else facet - 1
         assert set(out.as_dict().values()) == set(P.facets[opposite])
 
 
 def test_outward_map_on_simplex_is_not_injective():
-    out = pc.outward_neighbor_map(pc.simplex(3), 0)
+    out = outward_neighbor_map(pc.simplex(3), 0)
     assert not out.injective
     assert len(set(out.as_dict().values())) == 1
 
@@ -266,7 +285,7 @@ def test_outward_map_injective_on_even_members(entry):
     if not pc.is_even(P):
         return
     for facet in range(P.num_facets):
-        out = pc.outward_neighbor_map(P, facet)
+        out = outward_neighbor_map(P, facet)
         assert out.injective
         assert P.num_vertices >= 2 * len(P.facets[facet])
 
@@ -287,7 +306,7 @@ def test_even_members_have_at_least_2_to_n_vertices():
             continue
         assert P.num_vertices >= 2**P.dim
         if P.num_vertices == 2**P.dim:
-            assert pc.incidence_isomorphic(P, pc.cube(P.dim))
+            assert incidence_isomorphic(P, pc.cube(P.dim))
 
 
 def test_balinski_connectivity_for_dim_3_members():
@@ -298,10 +317,10 @@ def test_balinski_connectivity_for_dim_3_members():
 
 
 def test_incidence_isomorphic_positive_and_negative():
-    assert pc.incidence_isomorphic(pc.prism(4), pc.cube(3))
-    assert pc.incidence_isomorphic(pc.polygon(3), pc.simplex(2))
-    assert not pc.incidence_isomorphic(pc.prism(6), pc.cube(3))
-    assert not pc.incidence_isomorphic(pc.simplex(3), pc.cube(3))
+    assert incidence_isomorphic(pc.prism(4), pc.cube(3))
+    assert incidence_isomorphic(pc.polygon(3), pc.simplex(2))
+    assert not incidence_isomorphic(pc.prism(6), pc.cube(3))
+    assert not incidence_isomorphic(pc.simplex(3), pc.cube(3))
 
 
 def test_json_roundtrip_with_coordinates():

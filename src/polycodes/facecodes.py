@@ -9,24 +9,23 @@ TheoremViolation when the routes disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation
 from .gf2 import (
     BitVector,
     LinearCode,
     SelfDualityTrace,
+    _bitmask,
+    _span,
     dual_code,
     is_self_dual,
     min_distance,
-    reduce,
     reed_muller,
     weight_enumerator,
 )
 from .polytope import (
     Face,
     SimplePolytope,
-    face_indicator,
     faces_of_codim,
     fh_vectors,
     is_even,
@@ -71,8 +70,8 @@ def face_code(P: SimplePolytope, k: int) -> FaceCode:
 
     def build() -> FaceCode:
         faces = faces_of_codim(P, k)
-        gens = [face_indicator(P, f) for f in faces]
-        return FaceCode(codim=k, faces=faces, code=reduce(gens, length=P.num_vertices))
+        code = _span(P.num_vertices, [_bitmask(f.vertex_set) for f in faces])
+        return FaceCode(codim=k, faces=faces, code=code)
 
     return P.derived(("face_code", k), build)
 
@@ -80,14 +79,10 @@ def face_code(P: SimplePolytope, k: int) -> FaceCode:
 def code_matrix(P: SimplePolytope, k: int) -> list[BitVector]:
     """Incidence matrix rows by vertex; column j is the j-th codimension-k face."""
     faces = faces_of_codim(P, k)
-    rows = []
-    for v in range(P.num_vertices):
-        rows.append(
-            BitVector.from_support(
-                len(faces), (j for j, f in enumerate(faces) if v in f.vertex_set)
-            )
-        )
-    return rows
+    return [
+        BitVector(len(faces), _bitmask(j for j, f in enumerate(faces) if v in f.vertex_set))
+        for v in range(P.num_vertices)
+    ]
 
 
 @dataclass(frozen=True)
@@ -300,7 +295,8 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
             f"half={half} parity={parity_ok} direct={trace.self_dual}"
         )
     if trace.self_dual and n >= 3:
-        if not fc.code.contains(BitVector.ones(P.num_vertices)):
+        ones = _span(P.num_vertices, [(1 << P.num_vertices) - 1])
+        if not ones.is_subspace_of(fc.code):
             raise TheoremViolation("self-dual face code without the all-ones vector")
         if not 0 < 2 * k < n:
             raise TheoremViolation(f"self-dual face code at impossible codimension {k}")
@@ -328,24 +324,31 @@ def duality_complement_check(P: SimplePolytope) -> bool:
 def circ_closure_check(P: SimplePolytope, k: int) -> bool:
     """Products of k facet indicators must span the codimension-k code.
 
-    Componentwise products distribute over sums, so running over all
-    k-multisets of facet indicators spans every k-fold product of code
-    elements.
+    Componentwise products distribute over sums, so the products of
+    k-multisets of facet indicators span every k-fold product of code
+    elements. Since F AND F = F, a multiset's product is that of its
+    support, a set of 1..k facets, and a zero product adds nothing. The
+    walk extends a running product over increasing facet subsets and
+    stops at zero; nonzero products of j facets are codimension-j faces,
+    so it makes f_1 + ... + f_k products with at most
+    (f_0 + ... + f_(k-1)) * m ANDs, m the number of facets.
     """
     if not is_even(P):
         raise Inapplicable("product closure requires an even polytope")
     if not 1 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 1..{P.dim}")
-    indicators = [
-        BitVector.from_support(P.num_vertices, f) for f in P.facets
-    ]
+    facets = [_bitmask(f) for f in P.facets]
     products = []
-    for combo in combinations_with_replacement(range(P.num_facets), k):
-        bits = indicators[combo[0]]
-        for i in combo[1:]:
-            bits = bits & indicators[i]
+    todo = [(i, bits, 1) for i, bits in enumerate(facets)]
+    while todo:
+        last, bits, size = todo.pop()
         products.append(bits)
-    return reduce(products, length=P.num_vertices) == face_code(P, k).code
+        if size < k:
+            for j in range(last + 1, len(facets)):
+                meet = bits & facets[j]
+                if meet:
+                    todo.append((j, meet, size + 1))
+    return _span(P.num_vertices, products) == face_code(P, k).code
 
 
 def min_distance_bound_check(P: SimplePolytope) -> tuple[int, int]:

@@ -2,13 +2,15 @@
 
 Vectors are fixed-length bit strings packed into Python integers
 (coordinate i is bit i, so words fill from the little end and the tail
-beyond ``length`` is kept zero). Codes are row spaces held in reduced
-echelon form, which makes equality of subspaces a tuple comparison.
+beyond ``length`` is kept zero). Codes are row spaces held as int rows
+in reduced echelon form, which makes equality of subspaces a tuple
+comparison; ``BitVector`` is the validated public wrapper at the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -21,7 +23,6 @@ __all__ = [
     "LinearCode",
     "SelfDualityTrace",
     "WeightEnumerator",
-    "distance",
     "dual_code",
     "format_matrix",
     "inner",
@@ -42,6 +43,11 @@ try:
 except AttributeError:  # Python < 3.11
     def _popcount(x: int) -> int:
         return bin(x).count("1")
+
+
+def _bitmask(indices: Iterable[int]) -> int:
+    """Int indicator of a set of distinct indices; bit v stands for vertex v."""
+    return sum(1 << i for i in indices)
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,7 @@ class BitVector:
         """Parse a '0'/'1' string; character i is coordinate i."""
         if not text or set(text) - {"0", "1"}:
             raise InvalidInput(f"expected a nonempty string of 0s and 1s, got {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), _bitmask(i for i, ch in enumerate(text) if ch == "1"))
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
@@ -139,49 +141,55 @@ def inner(u: BitVector, v: BitVector) -> int:
     return _popcount(u.bits & v.bits) & 1
 
 
-def distance(u: BitVector, v: BitVector) -> int:
-    u._check_same_length(v)
-    return _popcount(u.bits ^ v.bits)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinearCode:
     """Subspace of GF(2)^length, kept as its canonical basis.
 
-    ``basis`` is in reduced echelon form: rows sorted by pivot (the
-    lowest set bit) and every pivot cleared from the other rows. Equal
-    subspaces therefore carry identical bases, and ``==`` compares them.
+    ``rows`` is the reduced echelon basis as ints: sorted by pivot (the
+    lowest set bit), every pivot cleared from the other rows. Equal
+    subspaces therefore have equal rows, and ``==`` compares them.
     """
 
     length: int
-    basis: tuple[BitVector, ...]
+    rows: tuple[int, ...]
+
+    @cached_property
+    def basis(self) -> tuple[BitVector, ...]:
+        """The rows as BitVectors, for callers outside the core."""
+        return tuple(BitVector(self.length, r) for r in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v: BitVector) -> bool:
         if v.length != self.length:
             raise InvalidInput(f"length mismatch: {v.length} vs {self.length}")
-        r = v.bits
-        for row in self.basis:
-            p = (row.bits & -row.bits).bit_length() - 1
-            if (r >> p) & 1:
-                r ^= row.bits
-        return r == 0
+        return _span(self.length, [v.bits]).is_subspace_of(self)
 
     def is_subspace_of(self, other: "LinearCode") -> bool:
-        return all(other.contains(b) for b in self.basis)
+        # In reduced echelon form the coefficient of a row in a codeword is
+        # the codeword's bit at that row's pivot, so v lies in ``other``
+        # exactly when it equals the sum of the rows whose pivots it hits.
+        if self.rows and self.length != other.length:
+            raise InvalidInput(f"length mismatch: {self.length} vs {other.length}")
+        by_pivot = {r & -r: r for r in other.rows}
+        pivots = sum(by_pivot)
+        for v in self.rows:
+            hit, acc = v & pivots, 0
+            while hit:
+                low = hit & -hit
+                acc ^= by_pivot[low]
+                hit ^= low
+            if acc != v:
+                return False
+        return True
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearCode):
-            return NotImplemented
-        return self.length == other.length and tuple(b.bits for b in self.basis) == tuple(
-            b.bits for b in other.basis
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.length, tuple(b.bits for b in self.basis)))
+def _span(length: int, rows: Iterable[int]) -> LinearCode:
+    """The code spanned by int rows, none with a bit at or beyond ``length``."""
+    pivot_rows, _ = _eliminate(rows, (1 << length) - 1)
+    return LinearCode(length, tuple(pivot_rows[p] for p in sorted(pivot_rows)))
 
 
 def reduce(generators: Iterable[BitVector], *, length: int | None = None) -> LinearCode:
@@ -197,9 +205,7 @@ def reduce(generators: Iterable[BitVector], *, length: int | None = None) -> Lin
     for g in gens:
         if g.length != length:
             raise InvalidInput(f"generator of length {g.length} in a code of length {length}")
-    pivot_rows, _ = _eliminate([g.bits for g in gens], (1 << length) - 1)
-    basis = tuple(BitVector(length, pivot_rows[p]) for p in sorted(pivot_rows))
-    return LinearCode(length=length, basis=basis)
+    return _span(length, (g.bits for g in gens))
 
 
 def _eliminate(rows: Iterable[int], mask: int) -> tuple[dict[int, int], list[int]]:
@@ -231,18 +237,18 @@ def _eliminate(rows: Iterable[int], mask: int) -> tuple[dict[int, int], list[int
 def dual_code(code: LinearCode) -> LinearCode:
     """Orthogonal complement, read off the echelon basis of ``code``."""
     n = code.length
-    pivots = [(row.bits & -row.bits).bit_length() - 1 for row in code.basis]
+    pivots = [(row & -row).bit_length() - 1 for row in code.rows]
     pivot_set = set(pivots)
     null_rows = []
     for j in range(n):
         if j in pivot_set:
             continue
         bits = 1 << j
-        for p, row in zip(pivots, code.basis):
-            if (row.bits >> j) & 1:
+        for p, row in zip(pivots, code.rows):
+            if (row >> j) & 1:
                 bits |= 1 << p
-        null_rows.append(BitVector(n, bits))
-    dual = reduce(null_rows, length=n)
+        null_rows.append(bits)
+    dual = _span(n, null_rows)
     if dual.dim + code.dim != n:
         raise TheoremViolation("rank plus nullity must equal the length")
     return dual
@@ -258,30 +264,33 @@ class SelfDualityTrace:
     products_even_weight: bool  # every componentwise basis product has even weight
 
 
-def is_self_dual(code: LinearCode) -> SelfDualityTrace:
-    """Compare C with its dual and evaluate the pairwise criteria.
+def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
+    # <u, v> is the parity of |u AND v|; the diagonal pairs are included.
+    return not any(_popcount(a & b) & 1 for i, a in enumerate(rows) for b in rows[i:])
 
-    When dim == length/2 the three answers must coincide; disagreement
-    raises TheoremViolation.
+
+def is_self_dual(code: LinearCode) -> SelfDualityTrace:
+    """Compare C with its dual and test pairwise orthogonality of the basis.
+
+    ``products_even_weight`` is ``basis_orthogonal`` again, since <u, v>
+    is by definition the parity of |u AND v|. When dim == length/2 the
+    two answers must agree; disagreement raises TheoremViolation.
     """
     direct = code == dual_code(code)
     half = 2 * code.dim == code.length
-    b = code.basis
-    pairs = [(i, j) for i in range(len(b)) for j in range(i, len(b))]
-    orthogonal = all(inner(b[i], b[j]) == 0 for i, j in pairs)
-    products_even = all((b[i] & b[j]).weight % 2 == 0 for i, j in pairs)
-    if half and not (direct == orthogonal == products_even):
+    orthogonal = _pairwise_orthogonal(code.rows)
+    if half and direct != orthogonal:
         raise TheoremViolation(
             "self-duality criteria disagree at half dimension: "
-            f"direct={direct} orthogonal={orthogonal} products_even={products_even}"
+            f"direct={direct} orthogonal={orthogonal}"
         )
-    return SelfDualityTrace(direct, half, orthogonal, products_even)
+    return SelfDualityTrace(direct, half, orthogonal, orthogonal)
 
 
 def _nonzero_weights(code: LinearCode) -> Iterator[int]:
     # Gray-code walk: step i flips the row indexed by the lowest set bit of i,
     # visiting every nonzero codeword exactly once.
-    rows = [row.bits for row in code.basis]
+    rows = code.rows
     acc = 0
     pc = _popcount
     for i in range(1, 1 << len(rows)):
@@ -296,7 +305,7 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[int, list[int]]]:
     # its pivots; each later one pivots on the columns no earlier one used.
     # Ranks never increase, since each set of free columns lies inside the
     # previous one. Stops once the code vanishes on what is left.
-    rows = [row.bits for row in code.basis]
+    rows = list(code.rows)
     pivots = [r & -r for r in rows]
     free = (1 << code.length) - 1
     while pivots:
@@ -379,7 +388,7 @@ def min_distance(code: LinearCode) -> int:
         raise Undefined("the zero code has no nonzero codeword")
     matrices = list(_information_sets(code))
     ranks = [r for r, _ in matrices]
-    best = min(row.weight for row in code.basis)
+    best = min(map(_popcount, code.rows))
     walk = (1 << k) - 1
     estimate = 0
     for _, levels, bound in _schedule(k, ranks):
@@ -438,10 +447,7 @@ def weight_enumerator(code: LinearCode) -> WeightEnumerator:
     for w in _nonzero_weights(code):
         counts[w] = counts.get(w, 0) + 1
     enumerated = all(w % 4 == 0 for w in counts)
-    b = code.basis
-    by_basis = all(row.weight % 4 == 0 for row in b) and all(
-        inner(b[i], b[j]) == 0 for i in range(len(b)) for j in range(i + 1, len(b))
-    )
+    by_basis = all(_popcount(r) % 4 == 0 for r in code.rows) and _pairwise_orthogonal(code.rows)
     if enumerated != by_basis:
         raise TheoremViolation(
             f"doubly-even routes disagree: enumerated={enumerated} basis={by_basis}"
@@ -464,22 +470,15 @@ def reed_muller(k: int, m: int) -> LinearCode:
     if not 0 <= k <= m:
         raise InvalidInput(f"order k={k} out of range for m={m}")
     npoints = 1 << m
-    var_masks = []
-    for i in range(m):
-        mask = 0
-        for j in range(npoints):
-            if (j >> (m - 1 - i)) & 1:
-                mask |= 1 << j
-        var_masks.append(mask)
-    ones = (1 << npoints) - 1
+    var_masks = [_bitmask(j for j in range(npoints) if (j >> (m - 1 - i)) & 1) for i in range(m)]
     gens = []
     for degree in range(k + 1):
         for monomial in combinations(range(m), degree):
-            bits = ones
+            bits = (1 << npoints) - 1
             for i in monomial:
                 bits &= var_masks[i]
-            gens.append(BitVector(npoints, bits))
-    return reduce(gens, length=npoints)
+            gens.append(bits)
+    return _span(npoints, gens)
 
 
 def format_matrix(rows: Sequence[BitVector]) -> str:

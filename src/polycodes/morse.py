@@ -14,11 +14,10 @@ from fractions import Fraction
 
 from .errors import GenericityFailure, InvalidInput, TheoremViolation, Unrealized
 from .facecodes import face_code
-from .gf2 import reduce
+from .gf2 import _bitmask, _span
 from .polytope import (
     Face,
     SimplePolytope,
-    face_indicator,
     faces_of_codim,
     fh_vectors,
     is_even,
@@ -144,13 +143,12 @@ def extract_basis(
                 f"vertex {v} is not the lowest vertex of its selected face"
             )
         selected.append((v, face))
-    vectors = [face_indicator(P, f) for _, f in selected]
-    span = reduce(vectors, length=P.num_vertices)
-    if span.dim != len(vectors):
+    span = _span(P.num_vertices, [_bitmask(f.vertex_set) for _, f in selected])
+    if span.dim != len(selected):
         raise TheoremViolation("selected face indicators are linearly dependent")
     expected = sum(fh_vectors(P).h[: k + 1])
-    if len(vectors) != expected:
-        raise TheoremViolation(f"selected {len(vectors)} faces, expected {expected}")
+    if len(selected) != expected:
+        raise TheoremViolation(f"selected {len(selected)} faces, expected {expected}")
     if is_even(P) and span != face_code(P, k).code:
         raise TheoremViolation(
             "selected faces fail to span the face code of an even polytope"

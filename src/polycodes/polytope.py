@@ -18,7 +18,7 @@ from math import comb
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidInput, InvalidPolytope, TheoremViolation
-from .gf2 import BitVector
+from .gf2 import BitVector, _bitmask
 
 __all__ = [
     "FHVectors",
@@ -340,7 +340,7 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
 
 def face_indicator(P: SimplePolytope, face: Face) -> BitVector:
     """Indicator vector of the face's vertex set in GF(2)^num_vertices."""
-    return BitVector.from_support(P.num_vertices, face.vertex_set)
+    return BitVector(P.num_vertices, _bitmask(face.vertex_set))
 
 
 def fh_vectors(P: SimplePolytope) -> FHVectors:

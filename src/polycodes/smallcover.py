@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import InvalidInput, TheoremViolation
 from .facecodes import Coloring, colorability_report
-from .gf2 import _eliminate
+from .gf2 import _bitmask, _eliminate
 from .polytope import SimplePolytope, fh_vectors
 
 __all__ = [
@@ -139,5 +139,5 @@ def vector_coloring_from_json(source: str | Mapping[str, Any]) -> VectorColoring
     for i, text in enumerate(data["colors"]):
         if not isinstance(text, str) or len(text) != r or set(text) - {"0", "1"}:
             raise InvalidInput(f"color {i} is not a length-{r} bit string")
-        colors.append(sum(1 << j for j, ch in enumerate(text) if ch == "1"))
+        colors.append(_bitmask(j for j, ch in enumerate(text) if ch == "1"))
     return VectorColoring(r=r, colors=tuple(colors))

@@ -4,8 +4,9 @@ Oracles here deliberately avoid the library's own algorithms: spans are
 enumerated by subset XOR, h-vectors come from literal polynomial
 multiplication, faces from global subset intersections, edge neighbors
 from a scan of all vertex pairs, facet colorings from a backtracking
-search over facets and incidence isomorphism from a search over facet
-bijections. Frozen golden values in the test files were produced by
+search over facets, incidence isomorphism from a search over facet
+bijections and the facet-product closure from every k-multiset of
+facets. Frozen golden values in the test files were produced by
 these oracles.
 """
 
@@ -148,6 +149,19 @@ def outward_neighbor_map(P: pc.SimplePolytope, facet_index: int) -> OutwardMap:
     )
 
 
+def closure_by_multisets(P: pc.SimplePolytope, k: int) -> bool:
+    """Whether the products over all k-multisets of facet indicators span
+    the codimension-k code, one BitVector product per multiset."""
+    indicators = [pc.BitVector.from_support(P.num_vertices, f) for f in P.facets]
+    products = []
+    for combo in itertools.combinations_with_replacement(range(P.num_facets), k):
+        bits = indicators[combo[0]]
+        for i in combo[1:]:
+            bits = bits & indicators[i]
+        products.append(bits)
+    return pc.reduce(products, length=P.num_vertices) == pc.face_code(P, k).code
+
+
 def _facet_profile(facets: Sequence[frozenset[int]], i: int) -> tuple:
     sizes = sorted(len(facets[i] & facets[j]) for j in range(len(facets)) if j != i)
     return (len(facets[i]), tuple(sizes))
@@ -260,8 +274,11 @@ def bitvector_pairs(draw, max_length: int = 24) -> tuple[pc.BitVector, pc.BitVec
 
 
 @st.composite
-def linear_codes(draw, max_length: int = 16, max_generators: int = 6) -> pc.LinearCode:
-    length = draw(st.integers(1, max_length))
+def linear_codes(
+    draw, max_length: int = 16, max_generators: int = 6, length: int | None = None
+) -> pc.LinearCode:
+    if length is None:
+        length = draw(st.integers(1, max_length))
     raw = draw(
         st.lists(st.integers(0, 2**length - 1), min_size=0, max_size=max_generators)
     )

@@ -7,12 +7,13 @@ import math
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import polycodes as pc
 
 from helpers import (
     all_codewords,
+    closure_by_multisets,
     coloring_by_backtracking,
     faces_by_global_intersection,
     recipe_texts,
@@ -312,6 +313,36 @@ def test_circ_closure_examples():
     assert pc.circ_closure_check(pc.cube(3), 2)
     assert pc.circ_closure_check(pc.cube(3), 1)
     assert pc.circ_closure_check(pc.prism(6), 3)
+
+
+def test_circ_closure_matches_multiset_oracle_on_corpus():
+    checked = 0
+    for entry in pc.corpus():
+        P = entry.build()
+        if not pc.is_even(P):
+            continue
+        for k in range(1, P.dim + 1):
+            assert pc.circ_closure_check(P, k) == closure_by_multisets(P, k), (entry.label, k)
+            checked += 1
+    assert checked > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=recipe_texts)
+def test_circ_closure_matches_multiset_oracle_on_random_recipes(text):
+    P = pc.parse_recipe(text).build()
+    assume(pc.is_even(P))
+    for k in range(1, P.dim + 1):
+        # The oracle builds C(m + k - 1, k) products; keep it to a few thousand.
+        if math.comb(P.num_facets + k - 1, k) <= 5000:
+            assert pc.circ_closure_check(P, k) == closure_by_multisets(P, k), (text, k)
+
+
+def test_circ_closure_on_a_large_prism():
+    # 600 vertices and 302 facets: the k = 3 multisets number about 4.6
+    # million, the nonzero subset products 1,802.
+    P = pc.prism(300)
+    assert all(pc.circ_closure_check(P, k) for k in range(1, 4))
 
 
 def test_circ_closure_guards():

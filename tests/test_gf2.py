@@ -125,6 +125,41 @@ def test_membership_matches_span_enumeration(code):
         assert not code.contains(pc.BitVector(code.length, outside))
 
 
+@given(st.data())
+def test_is_subspace_of_matches_span_enumeration(data):
+    code = data.draw(linear_codes())
+    other = data.draw(linear_codes(length=code.length))
+    assert code.is_subspace_of(other) == (all_codewords(code) <= all_codewords(other))
+    extra = data.draw(st.lists(st.integers(0, 2**code.length - 1), max_size=4))
+    wider = pc.reduce(
+        [*code.basis, *(pc.BitVector(code.length, e) for e in extra)], length=code.length
+    )
+    assert code.is_subspace_of(wider)
+    assert wider.is_subspace_of(code) == (all_codewords(wider) <= all_codewords(code))
+
+
+def test_is_subspace_of_rejects_mixed_lengths():
+    with pytest.raises(pc.InvalidInput):
+        pc.reduce([pc.BitVector.from01("110")]).is_subspace_of(
+            pc.reduce([pc.BitVector.from01("1100")])
+        )
+
+
+@given(st.data())
+def test_reduce_is_independent_of_generator_order(data):
+    length = data.draw(st.integers(1, 16))
+    gens = [
+        pc.BitVector(length, g)
+        for g in data.draw(st.lists(st.integers(0, 2**length - 1), max_size=8))
+    ]
+    code = pc.reduce(gens, length=length)
+    shuffled = data.draw(st.permutations(gens))
+    again = pc.reduce(shuffled, length=length)
+    assert again == code
+    assert hash(again) == hash(code)
+    assert again.basis == code.basis
+
+
 def test_dual_of_zero_space_is_full_space():
     zero = pc.reduce([pc.BitVector.from01("0000")])
     assert pc.dual_code(zero).dim == 4

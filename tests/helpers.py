@@ -1,13 +1,13 @@
 """Shared oracles and hypothesis strategies.
 
 Oracles here deliberately avoid the library's own algorithms: spans are
-enumerated by subset XOR, h-vectors come from literal polynomial
-multiplication, faces from global subset intersections, edge neighbors
-from a scan of all vertex pairs, facet colorings from a backtracking
-search over facets, incidence isomorphism from a search over facet
-bijections and the facet-product closure from every k-multiset of
-facets. Frozen golden values in the test files were produced by
-these oracles.
+enumerated by subset XOR, eliminations probe every pivot row, h-vectors
+come from literal polynomial multiplication, faces from global subset
+intersections, edge neighbors from a scan of all vertex pairs, facet
+colorings from a backtracking search over facets, incidence isomorphism
+from a search over facet bijections and the facet-product closure from
+every k-multiset of facets. Frozen golden values in the test files were
+produced by these oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -27,6 +27,56 @@ def xor_span(bits: list[int]) -> set[int]:
     for v in bits:
         span |= {s ^ v for s in span}
     return span
+
+
+def eliminate_by_full_scan(rows: Iterable[int], mask: int) -> tuple[dict[int, int], list[int]]:
+    """Gaussian elimination that pivots only on the columns set in ``mask``.
+
+    Returns the pivot rows keyed by pivot column (the lowest masked bit),
+    every pivot cleared from the other pivot rows, and the nonzero rows
+    left over, which vanish on ``mask``. Under a full mask nothing is left
+    over and the pivot rows are the reduced echelon basis.
+
+    Each incoming row probes every pivot row, and each new pivot is
+    cleared from every pivot row: O(rows x rank) steps whatever the
+    sparsity. This was the library's elimination before it reduced rows
+    by the pivots they hit.
+    """
+    pivot_rows: dict[int, int] = {}
+    vanishing: list[int] = []
+    for r in rows:
+        for p, row in pivot_rows.items():
+            if (r >> p) & 1:
+                r ^= row
+        on_mask = r & mask
+        if on_mask:
+            p = (on_mask & -on_mask).bit_length() - 1
+            for q, row in pivot_rows.items():
+                if (row >> p) & 1:
+                    pivot_rows[q] = row ^ r
+            pivot_rows[p] = r
+        elif r:
+            vanishing.append(r)
+    return pivot_rows, vanishing
+
+
+def dual_by_bit_test(code: pc.LinearCode) -> pc.LinearCode:
+    """Orthogonal complement from null rows built by an n x k bit test:
+    non-pivot column j gives e_j plus the pivot of every basis row with
+    bit j."""
+    n = code.length
+    pivots = [(row & -row).bit_length() - 1 for row in code.rows]
+    null_rows = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        bits = 1 << j
+        for p, row in zip(pivots, code.rows):
+            if (row >> j) & 1:
+                bits |= 1 << p
+        null_rows.append(bits)
+    pivot_rows, _ = eliminate_by_full_scan(null_rows, (1 << n) - 1)
+    return pc.LinearCode(n, tuple(pivot_rows[p] for p in sorted(pivot_rows)))
 
 
 def all_codewords(code: pc.LinearCode) -> set[int]:
@@ -79,11 +129,19 @@ def neighbors_by_pair_scan(P: pc.SimplePolytope) -> tuple[tuple[int, ...], ...]:
 
 
 def coloring_by_backtracking(P: pc.SimplePolytope) -> pc.Coloring | None:
-    """First proper dim-coloring found by backtracking over facets in index order.
+    """Lexicographically first proper dim-coloring, by backtracking over facets.
 
-    Facets are adjacent when their vertex sets meet. Colors are tried
-    ascending, so the result is the lexicographically first proper
-    coloring.
+    Facets are adjacent when their vertex sets meet. The search takes the
+    facets in breadth-first order over that adjacency, so each facet after
+    the first of its component meets an earlier one. It tries the colors
+    already used, ascending, and then one new color: renaming colors maps
+    proper colorings to proper colorings, so a new color stands for all
+    of them. The coloring found gets its colors renamed in order of first
+    appearance by facet index. That is the lexicographically first proper
+    coloring, because a proper dim-coloring of a simple polytope is unique
+    up to renaming: the dim facets at a vertex take all dim colors, the
+    two ends of an edge share all but one facet, and the graph of the
+    polytope is connected.
     """
     n, m = P.dim, P.num_facets
     adjacent: list[list[int]] = [[] for _ in range(m)]
@@ -92,24 +150,40 @@ def coloring_by_backtracking(P: pc.SimplePolytope) -> pc.Coloring | None:
             if P.facets[i] & P.facets[j]:
                 adjacent[i].append(j)
                 adjacent[j].append(i)
+    order: list[int] = []
+    placed: set[int] = set()
+    for start in range(m):
+        if start in placed:
+            continue
+        placed.add(start)
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):
+            for j in adjacent[order[head]]:
+                if j not in placed:
+                    placed.add(j)
+                    order.append(j)
+            head += 1
     colors = [-1] * m
 
-    def extend(i: int) -> bool:
-        if i == m:
+    def extend(t: int, used: int) -> bool:
+        if t == m:
             return True
-        used = {colors[j] for j in adjacent[i] if colors[j] >= 0}
-        for c in range(n):
-            if c in used:
+        i = order[t]
+        taken = {colors[j] for j in adjacent[i]}
+        for c in range(min(used + 1, n)):
+            if c in taken:
                 continue
             colors[i] = c
-            if extend(i + 1):
+            if extend(t + 1, max(used, c + 1)):
                 return True
         colors[i] = -1
         return False
 
-    if not extend(0):
+    if not extend(0, 0):
         return None
-    return pc.Coloring(num_colors=n, colors=tuple(colors))
+    first_seen = {c: rank for rank, c in enumerate(dict.fromkeys(colors))}
+    return pc.Coloring(num_colors=n, colors=tuple(first_seen[c] for c in colors))
 
 
 @dataclass(frozen=True)

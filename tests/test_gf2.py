@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from helpers import (
     bitvectors,
     brute_min_distance,
     brute_weight_counts,
+    dual_by_bit_test,
+    eliminate_by_full_scan,
     linear_codes,
     random_self_dual_code,
 )
@@ -160,6 +163,84 @@ def test_reduce_is_independent_of_generator_order(data):
     assert again.basis == code.basis
 
 
+# ----------------------------------------------- elimination against the scan
+
+
+def random_rows(rng: random.Random, length: int) -> list[int]:
+    """Sparse or dense rows of one length, with zero rows and sums of
+    earlier rows mixed in."""
+    density = rng.choice((0.01, 0.05, 0.2, 0.5))
+    rows: list[int] = []
+    for _ in range(rng.randint(0, length + 8)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(0)
+        elif kind < 0.3 and len(rows) >= 2:
+            rows.append(rows[rng.randrange(len(rows))] ^ rows[rng.randrange(len(rows))])
+        else:
+            rows.append(sum(1 << i for i in range(length) if rng.random() < density))
+    return rows
+
+
+def check_against_full_scan(rows: list[int], mask: int, length: int) -> None:
+    full = (1 << length) - 1
+    pivot_rows, vanishing = gf2._eliminate(rows, mask)
+    expected_rows, _ = eliminate_by_full_scan(rows, mask)
+    if mask == full:
+        assert pivot_rows == expected_rows and vanishing == []
+        return
+    assert sorted(pivot_rows) == sorted(expected_rows)
+    pivots = sum(1 << p for p in pivot_rows)
+    for p, row in pivot_rows.items():
+        on_mask = row & mask
+        assert on_mask & -on_mask == 1 << p
+        assert row & pivots == 1 << p
+    assert all(v and not v & mask for v in vanishing)
+    span = eliminate_by_full_scan([*pivot_rows.values(), *vanishing], full)[0]
+    assert span == eliminate_by_full_scan(rows, full)[0]
+
+
+def test_eliminate_matches_full_scan_on_random_rows():
+    rng = random.Random(2026101809)
+    for length in [1, 2, 3, 300, *(rng.randint(1, 300) for _ in range(60))]:
+        rows = random_rows(rng, length)
+        full = (1 << length) - 1
+        masks = [full, rng.getrandbits(length), full ^ (1 << rng.randrange(length))]
+        masks.append(sum(1 << i for i in range(length) if rng.random() < 0.1))
+        for mask in masks:
+            check_against_full_scan(rows, mask, length)
+
+
+def test_dual_code_matches_bit_test_on_corpus_face_codes():
+    for entry in pc.corpus():
+        P = entry.build()
+        for k in range(P.dim + 1):
+            code = pc.face_code(P, k).code
+            assert pc.dual_code(code) == dual_by_bit_test(code), (entry.label, k)
+
+
+@pytest.mark.parametrize("m", [550, 1000])
+def test_eliminate_on_large_prism_faces_costs_the_pivots_hit(m):
+    # The full scan probes every pivot row for every face: 45 to 75 times
+    # the time of reducing by the pivots each face hits, on these inputs.
+    # A factor of 10 leaves room for timing noise and still catches a
+    # return to rows x rank.
+    P = pc.prism(m)
+    rows = [gf2._bitmask(f.vertex_set) for f in pc.faces_of_codim(P, 2)]
+    full = (1 << P.num_vertices) - 1
+
+    def timed(eliminate):
+        start = time.perf_counter()
+        result = eliminate(rows, full)
+        return time.perf_counter() - start, result
+
+    scan_s, expected = timed(eliminate_by_full_scan)
+    runs = [timed(gf2._eliminate) for _ in range(3)]
+    assert all(result == expected for _, result in runs)
+    fast_s = min(s for s, _ in runs)
+    assert 10 * fast_s < scan_s, (fast_s, scan_s)
+
+
 def test_dual_of_zero_space_is_full_space():
     zero = pc.reduce([pc.BitVector.from01("0000")])
     assert pc.dual_code(zero).dim == 4
@@ -223,6 +304,27 @@ def test_min_distance_matches_brute_force(code):
     if code.dim == 0:
         return
     assert pc.min_distance(code) == brute_min_distance(code)
+
+
+@settings(deadline=None)
+@given(linear_codes(max_length=12))
+def test_information_set_search_matches_brute_force_on_small_codes(code):
+    if code.dim == 0:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_WALK_FIRST", 0)
+        assert pc.min_distance(code) == brute_min_distance(code)
+
+
+def test_min_distance_walks_small_codes_without_information_sets(monkeypatch):
+    built = []
+    information_sets = gf2._information_sets
+    monkeypatch.setattr(
+        gf2, "_information_sets", lambda code: built.append(code.dim) or information_sets(code)
+    )
+    assert pc.min_distance(pc.reed_muller(1, 7)) == 64  # 255 nonzero codewords
+    assert pc.min_distance(pc.reed_muller(1, 8)) == 128  # 511
+    assert built == [9]
 
 
 # A [23,11,3] code whose information sets have ranks 11, 9 and 3. The

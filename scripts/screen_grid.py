@@ -10,25 +10,16 @@ odd ones are trivially infeasible.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 import polycodes as pc
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    max_length: int
-    max_distance: int
-    doubly_even: bool
-    hide_infeasible: bool
-
-
-def sweep(config: GridConfig) -> None:
+def sweep(max_length: int, max_distance: int, doubly_even: bool, hide_infeasible: bool) -> None:
     print(f"{'l':>4} {'d':>4} {'verdict':16} {'witness':10} last rule")
-    for l in range(2, config.max_length + 1, 2):
-        for d in range(2, min(config.max_distance, l) + 1, 2):
-            v = pc.realizability_screen(l, d, config.doubly_even)
-            if config.hide_infeasible and v.status == "Infeasible":
+    for l in range(2, max_length + 1, 2):
+        for d in range(2, min(max_distance, l) + 1, 2):
+            v = pc.realizability_screen(l, d, doubly_even)
+            if hide_infeasible and v.status == "Infeasible":
                 continue
             witness = v.witness.text() if v.witness else "-"
             print(f"{l:>4} {d:>4} {v.status:16} {witness:10} {v.trace[-1].rule}")
@@ -45,14 +36,7 @@ def main() -> int:
         "--hide-infeasible", action="store_true", help="print only open or witnessed rows"
     )
     args = parser.parse_args()
-    sweep(
-        GridConfig(
-            max_length=args.max_length,
-            max_distance=args.max_distance,
-            doubly_even=args.doubly_even,
-            hide_infeasible=args.hide_infeasible,
-        )
-    )
+    sweep(args.max_length, args.max_distance, args.doubly_even, args.hide_infeasible)
     return 0
 
 

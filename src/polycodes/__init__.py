@@ -5,193 +5,28 @@ vectors; the package computes these codes, checks the structure results
 that govern them (colorability criteria, dimension laws, duality and
 self-duality, doubly-evenness), screens code parameters for polytope
 realizability, and cross-checks everything it can two ways.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.
 """
 
-from .constructors import (
-    Recipe,
-    cube,
-    dual_cyclic_5_7,
-    parse_recipe,
-    polygon,
-    prism,
-    product,
-    segment,
-    simplex,
-    vertex_cut,
-)
-from .corpus import CorpusEntry, corpus
-from .errors import (
-    BudgetExceeded,
-    GenericityFailure,
-    Inapplicable,
-    InvalidInput,
-    InvalidPolytope,
-    TheoremViolation,
-    Undefined,
-    Unrealized,
-)
-from .facecodes import (
-    ColorabilityReport,
-    Coloring,
-    DimensionLaw,
-    DoublyEvenReport,
-    FaceCode,
-    SelfDualReport,
-    circ_closure_check,
-    code_matrix,
-    colorability_report,
-    coloring_is_proper,
-    dimension_law_check,
-    doubly_even_report,
-    duality_complement_check,
-    face_code,
-    find_coloring,
-    min_distance_bound_check,
-    reed_muller_check,
-    self_duality_report,
-)
-from .gf2 import (
-    ENUMERATION_CAP,
-    BitVector,
-    LinearCode,
-    SelfDualityTrace,
-    WeightEnumerator,
-    dual_code,
-    format_matrix,
-    inner,
-    is_self_dual,
-    min_distance,
-    parse_matrix,
-    reduce,
-    reed_muller,
-    weight_enumerator,
-)
-from .morse import (
-    HeightFunction,
-    extract_basis,
-    generic_height,
-    height_from_objective,
-    index_histogram,
-    vertex_indices,
-)
-from .polytope import (
-    Face,
-    FHVectors,
-    SimplePolytope,
-    check_incidence,
-    edges,
-    face_indicator,
-    faces_of_codim,
-    fh_vectors,
-    is_even,
-    polytope_from_json,
-    polytope_to_json,
-    skeleton_connected,
-    validate,
-    vertex_neighbors,
-)
-from .screen import ScreenRule, ScreenVerdict, mallows_sloane, realizability_screen
-from .smallcover import (
-    InvolutionReport,
-    VectorColoring,
-    admits_regular_m_involution,
-    component_count,
-    lift_coloring,
-    validate_characteristic,
-    vector_coloring_from_json,
-    vector_coloring_to_json,
-)
-from .verify import CheckResult, SUITES, corpus_subjects, run_suite
+from . import constructors, errors, facecodes, gf2, morse, polytope, screen, smallcover, verify
+from . import corpus as _corpus
+from .constructors import *  # noqa: F401,F403
+from .corpus import *  # noqa: F401,F403  (binds corpus, the function, over the submodule)
+from .errors import *  # noqa: F401,F403
+from .facecodes import *  # noqa: F401,F403
+from .gf2 import *  # noqa: F401,F403
+from .morse import *  # noqa: F401,F403
+from .polytope import *  # noqa: F401,F403
+from .screen import *  # noqa: F401,F403
+from .smallcover import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitVector",
-    "BudgetExceeded",
-    "CheckResult",
-    "ColorabilityReport",
-    "Coloring",
-    "CorpusEntry",
-    "DimensionLaw",
-    "DoublyEvenReport",
-    "ENUMERATION_CAP",
-    "Face",
-    "FaceCode",
-    "FHVectors",
-    "GenericityFailure",
-    "HeightFunction",
-    "Inapplicable",
-    "InvalidInput",
-    "InvalidPolytope",
-    "InvolutionReport",
-    "LinearCode",
-    "Recipe",
-    "SUITES",
-    "ScreenRule",
-    "ScreenVerdict",
-    "SelfDualReport",
-    "SelfDualityTrace",
-    "SimplePolytope",
-    "TheoremViolation",
-    "Undefined",
-    "Unrealized",
-    "VectorColoring",
-    "WeightEnumerator",
-    "admits_regular_m_involution",
-    "check_incidence",
-    "circ_closure_check",
-    "code_matrix",
-    "colorability_report",
-    "coloring_is_proper",
-    "component_count",
-    "corpus",
-    "corpus_subjects",
-    "cube",
-    "dimension_law_check",
-    "doubly_even_report",
-    "dual_code",
-    "dual_cyclic_5_7",
-    "duality_complement_check",
-    "edges",
-    "extract_basis",
-    "face_code",
-    "face_indicator",
-    "faces_of_codim",
-    "fh_vectors",
-    "find_coloring",
-    "format_matrix",
-    "generic_height",
-    "height_from_objective",
-    "index_histogram",
-    "inner",
-    "is_even",
-    "is_self_dual",
-    "lift_coloring",
-    "mallows_sloane",
-    "min_distance",
-    "min_distance_bound_check",
-    "parse_matrix",
-    "parse_recipe",
-    "polygon",
-    "polytope_from_json",
-    "polytope_to_json",
-    "prism",
-    "product",
-    "realizability_screen",
-    "reduce",
-    "reed_muller",
-    "reed_muller_check",
-    "run_suite",
-    "segment",
-    "self_duality_report",
-    "simplex",
-    "skeleton_connected",
-    "validate",
-    "validate_characteristic",
-    "vector_coloring_from_json",
-    "vector_coloring_to_json",
-    "vertex_cut",
-    "vertex_indices",
-    "vertex_neighbors",
-    "weight_enumerator",
-]
+__all__ = sorted(
+    name
+    for module in (constructors, _corpus, errors, facecodes, gf2, morse, polytope, screen, smallcover, verify)
+    for name in module.__all__
+)

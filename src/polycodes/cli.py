@@ -23,13 +23,7 @@ from .errors import (
     Undefined,
     Unrealized,
 )
-from .facecodes import (
-    code_matrix,
-    face_code,
-    find_coloring,
-    colorability_report,
-    self_duality_report,
-)
+from .facecodes import code_matrix, colorability_report, face_code, self_duality_report
 from .gf2 import format_matrix, is_self_dual, min_distance
 from .morse import extract_basis, generic_height, index_histogram, vertex_indices
 from .polytope import (
@@ -116,16 +110,8 @@ def _cmd_code(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     fc = face_code(P, args.k)
     if args.matrix:
-        matrix = format_matrix(code_matrix(P, args.k))
-        if args.json:
-            print(
-                json.dumps(
-                    {"schema": 1, "codimension": args.k, "rows": matrix.splitlines()},
-                    indent=2,
-                )
-            )
-        else:
-            sys.stdout.write(matrix)
+        rows = format_matrix(code_matrix(P, args.k)).splitlines()
+        _emit(args, {"codimension": args.k, "rows": rows}, rows)
         return 0
     trace = is_self_dual(fc.code)
     payload = {
@@ -159,21 +145,18 @@ def _cmd_mindist(args: argparse.Namespace) -> int:
 
 def _cmd_color(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
-    if P.dim >= 3:
-        report = colorability_report(P)
-        coloring = report.coloring
-        colorable = report.colorable
-        note = "six criteria agree"
-    else:
-        coloring = find_coloring(P)
-        colorable = coloring is not None
+    report = colorability_report(P)
+    coloring = report.coloring
+    if report.degenerate_dimension:
         note = f"dimension {P.dim} below 3, direct search only"
+    else:
+        note = "six criteria agree"
     payload = {
-        "colorable": colorable,
+        "colorable": report.colorable,
         "colors": list(coloring.colors) if coloring else None,
         "note": note,
     }
-    text = [f"colorable: {'yes' if colorable else 'no'}", f"note: {note}"]
+    text = [f"colorable: {'yes' if report.colorable else 'no'}", f"note: {note}"]
     if coloring:
         text.append("colors: " + " ".join(map(str, coloring.colors)))
     _emit(args, payload, text)
@@ -259,28 +242,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidInput("verify needs a polytope or --corpus")
     results = run_suite(args.suite, subjects)
     failed = [r for r in results if not r.passed]
-    if args.json:
-        payload = {
-            "schema": 1,
-            "suite": args.suite,
-            "checks": [
-                {
-                    "suite": r.suite,
-                    "subject": r.subject,
-                    "check": r.check,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "failed": len(failed),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"[{mark}] {r.suite} :: {r.subject} :: {r.check}: {r.detail}")
-        print(f"{len(results)} checks, {len(failed)} failed")
+    payload = {
+        "suite": args.suite,
+        "checks": [
+            {
+                "suite": r.suite,
+                "subject": r.subject,
+                "check": r.check,
+                "passed": r.passed,
+                "detail": r.detail,
+            }
+            for r in results
+        ],
+        "failed": len(failed),
+    }
+    text = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.suite} :: {r.subject} :: {r.check}: {r.detail}"
+        for r in results
+    ]
+    text.append(f"{len(results)} checks, {len(failed)} failed")
+    _emit(args, payload, text)
     return 3 if failed else 0
 
 

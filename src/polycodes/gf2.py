@@ -475,13 +475,25 @@ def _check_macwilliams(counts: dict[int, int], length: int, dim: int) -> None:
             )
 
 
+def _doubly_even(rows: Sequence[int]) -> bool:
+    """Whether every codeword of the span of ``rows`` has weight divisible by 4.
+
+    No codeword is walked: wt(u + v) = wt(u) + wt(v) - 2|u AND v|, so for
+    u and v of weight divisible by 4, u + v is too exactly when u and v
+    are orthogonal. Orthogonality is bilinear, so the span is doubly even
+    exactly when every row weight is divisible by 4 and the rows are
+    pairwise orthogonal.
+    """
+    return all(_popcount(r) % 4 == 0 for r in rows) and _pairwise_orthogonal(rows)
+
+
 def weight_enumerator(code: LinearCode) -> WeightEnumerator:
     """Weight distribution by exhaustive enumeration.
 
     ``doubly_even`` is checked twice: every enumerated weight divisible
-    by 4, and the basis route (basis weights divisible by 4 plus
-    pairwise orthogonality). The two must agree. For a self-dual code
-    the counts must also be invariant under the MacWilliams transform.
+    by 4, and the basis route ``_doubly_even``. The two must agree. For a
+    self-dual code the counts must also be invariant under the
+    MacWilliams transform.
     """
     if code.dim > ENUMERATION_CAP:
         raise BudgetExceeded(f"dimension {code.dim} over the enumeration cap {ENUMERATION_CAP}")
@@ -489,7 +501,7 @@ def weight_enumerator(code: LinearCode) -> WeightEnumerator:
     for w in _nonzero_weights(code):
         counts[w] = counts.get(w, 0) + 1
     enumerated = all(w % 4 == 0 for w in counts)
-    by_basis = all(_popcount(r) % 4 == 0 for r in code.rows) and _pairwise_orthogonal(code.rows)
+    by_basis = _doubly_even(code.rows)
     if enumerated != by_basis:
         raise TheoremViolation(
             f"doubly-even routes disagree: enumerated={enumerated} basis={by_basis}"

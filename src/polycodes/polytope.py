@@ -4,8 +4,7 @@ A polytope of dimension n is stored as the tuple of its facets, each a
 frozenset of vertex indices. Validation covers the local combinatorics
 of simplicity (n facets and n edge neighbors per vertex, connected
 skeleton). Global polytopality of abstract incidence data is not
-decided here; inputs passing the local checks are processed and the
-CLI reports them as ``polytopality: unverified``.
+decided here; inputs passing the local checks are processed as given.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .gf2 import BitVector, _bitmask
 __all__ = [
     "FHVectors",
     "Face",
-    "POLYTOPALITY_NOTE",
     "SimplePolytope",
     "check_incidence",
     "edges",
@@ -33,14 +31,10 @@ __all__ = [
     "is_even",
     "polytope_from_json",
     "polytope_to_json",
-    "polytope_to_json_dict",
     "skeleton_connected",
     "validate",
     "vertex_neighbors",
 ]
-
-POLYTOPALITY_NOTE = "unverified (local simplicity checks only)"
-
 
 @dataclass(frozen=True)
 class SimplePolytope:
@@ -387,20 +381,13 @@ def is_even(P: SimplePolytope) -> bool:
     return all(f.num_vertices % 2 == 0 for f in faces_of_codim(P, P.dim - 2))
 
 
-def polytope_to_json_dict(P: SimplePolytope) -> dict:
-    out: dict = {
-        "dim": P.dim,
-        "facets": [sorted(f) for f in P.facets],
-    }
+def polytope_to_json(P: SimplePolytope) -> str:
+    out: dict = {"dim": P.dim, "facets": [sorted(f) for f in P.facets]}
     if P.coords is not None:
         out["coords"] = [[str(x) for x in point] for point in P.coords]
     if P.name is not None:
         out["name"] = P.name
-    return out
-
-
-def polytope_to_json(P: SimplePolytope) -> str:
-    return json.dumps(polytope_to_json_dict(P), indent=2) + "\n"
+    return json.dumps(out, indent=2) + "\n"
 
 
 def polytope_from_json(source: str | Mapping) -> SimplePolytope:

@@ -15,7 +15,7 @@ from typing import Callable
 from .constructors import Recipe
 from .errors import Inapplicable, InvalidInput, TheoremViolation
 from .facecodes import face_code
-from .gf2 import LinearCode, is_self_dual, min_distance, weight_enumerator
+from .gf2 import LinearCode, _doubly_even, is_self_dual, min_distance
 
 __all__ = [
     "ScreenRule",
@@ -84,7 +84,7 @@ def _verify_witness(recipe: Recipe, l: int, d: int, doubly_even: bool) -> Screen
     exact = min_distance(code)
     if exact != d:
         problems.append(f"minimum distance {exact} != {d}")
-    de = weight_enumerator(code).doubly_even
+    de = _doubly_even(code.rows)
     if de != doubly_even:
         problems.append(f"doubly even is {de}, requested {doubly_even}")
     if problems:

@@ -275,6 +275,16 @@ def test_screen_infeasible_json(capsys):
     assert [r["rule"] for r in data["trace"]][-1] == "exhausted"
 
 
+def test_screen_witness_past_the_enumeration_cap(capsys):
+    # The witness's middle code has dimension 32 > ENUMERATION_CAP;
+    # doubly-evenness is read from its basis, so nothing refuses.
+    rc, out = run(
+        capsys, ["screen", "--length", "64", "--mindist", "4", "--doubly-even"]
+    )
+    assert rc == 0
+    assert out.splitlines()[:2] == ["status: FeasibleWitness", "witness: prism 32"]
+
+
 # -------------------------------------------------------------------- morse
 
 
@@ -319,6 +329,13 @@ def test_verify_single_subject(capsys):
     rc, out = run(capsys, ["verify", "cube 3", "--suite", "selfdual"])
     assert rc == 0
     assert "0 failed" in out
+
+
+def test_verify_past_the_enumeration_cap(capsys):
+    # The self-dual code of prism 100 has dimension 100 > ENUMERATION_CAP.
+    rc, out = run(capsys, ["verify", "prism 100"])
+    assert rc == 0
+    assert out.splitlines()[-1].endswith("checks, 0 failed")
 
 
 def test_verify_json(capsys):

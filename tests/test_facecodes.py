@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import polycodes as pc
+from polycodes import facecodes
 
 from helpers import (
     all_codewords,
@@ -394,6 +395,12 @@ def test_doubly_even_examples():
 def test_doubly_even_weights_route_agrees_by_enumeration():
     code = pc.face_code(pc.cube(3), 1).code
     assert all(bin(w).count("1") % 4 == 0 for w in all_codewords(code))
+
+
+def test_doubly_even_report_raises_when_the_routes_disagree(monkeypatch):
+    monkeypatch.setattr(facecodes, "_doubly_even", lambda rows: False)
+    with pytest.raises(pc.TheoremViolation, match="doubly-even routes disagree"):
+        pc.doubly_even_report(pc.cube(3))
 
 
 def test_doubly_even_inapplicable():

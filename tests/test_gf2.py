@@ -399,6 +399,10 @@ def test_min_distance_matches_walk_on_corpus_face_codes():
     assert large == LARGE_CORPUS_DISTANCES
 
 
+def brute_doubly_even(code: pc.LinearCode) -> bool:
+    return all(w % 4 == 0 for w in brute_weight_counts(code))
+
+
 def test_weight_enumerator_examples():
     we = pc.weight_enumerator(pc.reduce([pc.BitVector.ones(8)]))
     assert we.counts == {0: 1, 8: 1}
@@ -414,6 +418,40 @@ def test_weight_enumerator_matches_brute_force(code):
     we = pc.weight_enumerator(code)
     assert we.counts == brute_weight_counts(code)
     assert we.doubly_even == all(w % 4 == 0 for w in we.counts)
+    assert gf2._doubly_even(code.rows) == brute_doubly_even(code)
+
+
+def test_doubly_even_basis_test_needs_orthogonal_rows():
+    # Both basis rows have weight 4, but they meet in 3 coordinates, so
+    # their sum 11000000 has weight 2.
+    code = pc.reduce([pc.BitVector.from01("10111000"), pc.BitVector.from01("01111000")])
+    assert [r.to01() for r in code.basis] == ["10111000", "01111000"]
+    assert not gf2._doubly_even(code.rows) and not brute_doubly_even(code)
+
+
+def test_doubly_even_basis_test_matches_brute_force_on_corpus_face_codes():
+    seen = set()
+    for entry in pc.corpus():
+        P = entry.build()
+        for k in range(P.dim + 1):
+            code = pc.face_code(P, k).code
+            if code.dim > 20:
+                continue
+            de = gf2._doubly_even(code.rows)
+            assert de == brute_doubly_even(code), (entry.label, k)
+            seen.add(de)
+    assert seen == {True, False}
+
+
+def test_doubly_even_basis_test_on_random_self_dual_codes():
+    rng = random.Random(2026101810)
+    seen = set()
+    for _ in range(200):
+        code = random_self_dual_code(rng, rng.choice((2, 4, 6, 8, 10, 12, 14, 16)))
+        de = gf2._doubly_even(code.rows)
+        assert de == brute_doubly_even(code)
+        seen.add(de)
+    assert seen == {True, False}
 
 
 def test_weight_enumerator_macwilliams_invariance(monkeypatch):

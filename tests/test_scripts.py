@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import polycodes as pc
@@ -11,18 +10,19 @@ import polycodes as pc
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_script(monkeypatch, name: str):
+def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    # Dataclasses look their module up in sys.modules while being defined.
-    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_corpus_survey_middle_code_budgets_are_separate(monkeypatch):
-    survey = load_script(monkeypatch, "corpus_survey")
-    # Dimension 40: the distance is answered, the weight enumerator refuses.
-    assert survey.middle_code_row(pc.prism(40)) == "[80,40,4] (self-dual)"
+def test_corpus_survey_middle_code_budgets_are_separate():
+    survey = load_script("corpus_survey")
+    # Dimension 40: the distance is answered and doubly-evenness needs no
+    # walk (40-gons and squares have sizes divisible by 4).
+    assert survey.middle_code_row(pc.prism(40)) == "[80,40,4] (self-dual, doubly-even)"
+    # RM(3, 7): the distance search refuses, doubly-evenness still answers.
+    assert survey.middle_code_row(pc.cube(7)) == "[128,64,?] (self-dual, doubly-even)"
     assert survey.middle_code_row(pc.prism(8)) == "[16,8,4] (self-dual, doubly-even)"
     assert survey.middle_code_row(pc.cube(4)) == "-"

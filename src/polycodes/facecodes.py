@@ -9,29 +9,30 @@ TheoremViolation when the routes disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation
+from .errors import Inapplicable, InvalidInput, TheoremViolation
 from .gf2 import (
     BitVector,
     LinearCode,
     SelfDualityTrace,
-    _bitmask,
     _doubly_even,
+    _ones,
+    _popcount,
     _span,
     dual_code,
     is_self_dual,
     min_distance,
-    reed_muller,
 )
 from .polytope import (
     Face,
     SimplePolytope,
+    _walk,
     faces_of_codim,
     fh_vectors,
     is_even,
     vertex_neighbors,
 )
-from . import constructors
 
 __all__ = [
     "Coloring",
@@ -51,7 +52,6 @@ __all__ = [
     "face_code",
     "find_coloring",
     "min_distance_bound_check",
-    "reed_muller_check",
     "self_duality_report",
 ]
 
@@ -70,7 +70,7 @@ def face_code(P: SimplePolytope, k: int) -> FaceCode:
 
     def build() -> FaceCode:
         faces = faces_of_codim(P, k)
-        code = _span(P.num_vertices, [_bitmask(f.vertex_set) for f in faces])
+        code = _span(P.num_vertices, [f.vertex_mask for f in faces])
         return FaceCode(codim=k, faces=faces, code=code)
 
     return P.derived(("face_code", k), build)
@@ -79,10 +79,11 @@ def face_code(P: SimplePolytope, k: int) -> FaceCode:
 def code_matrix(P: SimplePolytope, k: int) -> list[BitVector]:
     """Incidence matrix rows by vertex; column j is the j-th codimension-k face."""
     faces = faces_of_codim(P, k)
-    return [
-        BitVector(len(faces), _bitmask(j for j, f in enumerate(faces) if v in f.vertex_set))
-        for v in range(P.num_vertices)
-    ]
+    rows = [0] * P.num_vertices
+    for j, f in enumerate(faces):
+        for v in _ones(f.vertex_mask):
+            rows[v] |= 1 << j
+    return [BitVector(len(faces), row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -280,11 +281,10 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
     fc = face_code(P, k)
     trace = is_self_dual(fc.code)
     half = P.num_vertices % 2 == 0 and 2 * fc.code.dim == P.num_vertices
-    parity_rows = []
-    for codim in range(k, min(2 * k, n) + 1):
-        parity_rows.append(
-            (codim, all(f.num_vertices % 2 == 0 for f in faces_of_codim(P, codim)))
-        )
+    parity_rows = [
+        (codim, not any(_popcount(mask) & 1 for _, mask, _ in level))
+        for codim, level in zip(range(k, min(2 * k, n) + 1), _walk(P, k))
+    ]
     parity_ok = all(ok for _, ok in parity_rows)
     if 2 * k > n:
         # The parity range is cut off at the vertices, whose count of 1 is odd.
@@ -328,26 +328,14 @@ def circ_closure_check(P: SimplePolytope, k: int) -> bool:
     k-multisets of facet indicators span every k-fold product of code
     elements. Since F AND F = F, a multiset's product is that of its
     support, a set of 1..k facets, and a zero product adds nothing. The
-    walk extends a running product over increasing facet subsets and
-    stops at zero; nonzero products of j facets are codimension-j faces,
-    so it makes f_1 + ... + f_k products with at most
-    (f_0 + ... + f_(k-1)) * m ANDs, m the number of facets.
+    nonzero products of j facets are the codimension-j faces, so the
+    products are the f_1 + ... + f_k face masks of the face walk.
     """
     if not is_even(P):
         raise Inapplicable("product closure requires an even polytope")
     if not 1 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 1..{P.dim}")
-    facets = [_bitmask(f) for f in P.facets]
-    products = []
-    todo = [(i, bits, 1) for i, bits in enumerate(facets)]
-    while todo:
-        last, bits, size = todo.pop()
-        products.append(bits)
-        if size < k:
-            for j in range(last + 1, len(facets)):
-                meet = bits & facets[j]
-                if meet:
-                    todo.append((j, meet, size + 1))
+    products = [mask for level in islice(_walk(P, 1), k) for _, mask, _ in level]
     return _span(P.num_vertices, products) == face_code(P, k).code
 
 
@@ -397,14 +385,3 @@ def doubly_even_report(P: SimplePolytope) -> DoublyEvenReport:
             f"doubly-even routes disagree: faces={by_faces} weights={by_weights}"
         )
     return DoublyEvenReport(codim=k, doubly_even=by_weights, face_sizes_divisible_by_4=by_faces)
-
-
-def reed_muller_check(k: int) -> bool:
-    """Whether the codimension-k code of cube(2k+1) equals RM(k, 2k+1)."""
-    if k < 1:
-        raise InvalidInput(f"order must be >= 1, got {k}")
-    if 2 * k + 1 > 5:
-        raise BudgetExceeded(f"cube dimension {2 * k + 1} over the comparison budget 5")
-    P = constructors.cube(2 * k + 1)
-    return face_code(P, k).code == reed_muller(k, 2 * k + 1)
-

@@ -28,7 +28,6 @@ __all__ = [
     "inner",
     "is_self_dual",
     "min_distance",
-    "parse_matrix",
     "reduce",
     "reed_muller",
     "weight_enumerator",
@@ -52,6 +51,14 @@ except AttributeError:  # Python < 3.11
 def _bitmask(indices: Iterable[int]) -> int:
     """Int indicator of a set of distinct indices; bit v stands for vertex v."""
     return sum(1 << i for i in indices)
+
+
+def _ones(bits: int) -> Iterator[int]:
+    """Indices of the set bits of ``bits``, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ class BitVector:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+        return tuple(_ones(self.bits))
 
     @property
     def is_zero(self) -> bool:
@@ -538,14 +545,3 @@ def reed_muller(k: int, m: int) -> LinearCode:
 def format_matrix(rows: Sequence[BitVector]) -> str:
     """Render rows as '0'/'1' lines, one vector per line."""
     return "".join(r.to01() + "\n" for r in rows)
-
-
-def parse_matrix(text: str) -> list[BitVector]:
-    """Parse the '0'/'1' line format produced by format_matrix."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise InvalidInput("empty matrix")
-    rows = [BitVector.from01(line.strip()) for line in lines]
-    if len({r.length for r in rows}) != 1:
-        raise InvalidInput("matrix rows have unequal lengths")
-    return rows

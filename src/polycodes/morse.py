@@ -3,7 +3,10 @@
 A height function orients the 1-skeleton; the count of down-edges at a
 vertex is its index. Index histograms reproduce the h-vector, and the
 lowest-vertex faces picked here give independent face-code vectors.
-All arithmetic is exact rational, so genericity is a sharp yes or no.
+All arithmetic is exact, so genericity is a sharp yes or no: objectives
+are drawn and tested on integers, each point scaled once by the common
+denominator of its own coordinates, and heights become ``Fraction``
+values only for the objective that is kept.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import GenericityFailure, InvalidInput, TheoremViolation, Unrealized
 from .facecodes import face_code
-from .gf2 import _bitmask, _span
+from .gf2 import _ones, _span
 from .polytope import (
     Face,
     SimplePolytope,
@@ -60,22 +64,38 @@ def height_from_objective(
     return HeightFunction(objective=obj, values=values)
 
 
+def _integral(point: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """The point times the common denominator of its coordinates, and that denominator."""
+    den = lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (den // c.denominator) for c in point), den
+
+
 def generic_height(P: SimplePolytope, seed: int) -> HeightFunction:
     """Deterministically sample integer objectives until the values separate.
 
     Entries are drawn uniformly from [-bound, bound] starting at 16; the
     bound doubles after every collision. At most 100 draws are tried.
+    A draw's heights are compared as reduced (numerator, denominator)
+    pairs, which are equal exactly when the rational heights are.
     """
     if P.coords is None:
         raise Unrealized("the polytope carries no coordinates")
+    points = P.derived("integral_points", lambda: tuple(map(_integral, P.coords)))
     rng = random.Random(seed)
     bound = 16
     for _ in range(100):
         objective = tuple(rng.randint(-bound, bound) for _ in range(P.dim))
-        try:
-            return height_from_objective(P, objective)
-        except GenericityFailure:
-            bound *= 2
+        heights = []
+        for coords, den in points:
+            num = sum(c * o for c, o in zip(coords, objective))
+            g = gcd(num, den)
+            heights.append((num // g, den // g))
+        if len(set(heights)) == len(heights):
+            return HeightFunction(
+                objective=tuple(Fraction(o) for o in objective),
+                values=tuple(Fraction(num, den) for num, den in heights),
+            )
+        bound *= 2
     raise GenericityFailure("no generic objective found in 100 draws")
 
 
@@ -137,13 +157,13 @@ def extract_basis(
             (facet,) = fv - P.vertex_facets[w]
             dropped.add(facet)
         face = faces_by_def[tuple(sorted(fv - dropped))]
-        bottom = min(face.vertex_set, key=lambda u: phi.values[u])
+        bottom = min(_ones(face.vertex_mask), key=lambda u: phi.values[u])
         if bottom != v:
             raise TheoremViolation(
                 f"vertex {v} is not the lowest vertex of its selected face"
             )
         selected.append((v, face))
-    span = _span(P.num_vertices, [_bitmask(f.vertex_set) for _, f in selected])
+    span = _span(P.num_vertices, [f.vertex_mask for _, f in selected])
     if span.dim != len(selected):
         raise TheoremViolation("selected face indicators are linearly dependent")
     expected = sum(fh_vectors(P).h[: k + 1])

@@ -5,6 +5,12 @@ frozenset of vertex indices. Validation covers the local combinatorics
 of simplicity (n facets and n edge neighbors per vertex, connected
 skeleton). Global polytopality of abstract incidence data is not
 decided here; inputs passing the local checks are processed as given.
+
+Faces carry their vertex sets as int masks (bit v is vertex v), the
+representation the face codes use. They come from one walk of the face
+lattice: the faces of codimension k are the nonzero ANDs of each face of
+codimension k - 1 with the facets of higher index than its defining
+ones, so every level comes out sorted by defining facets.
 """
 
 from __future__ import annotations
@@ -12,26 +18,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from operator import or_
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInput, InvalidPolytope, TheoremViolation
-from .gf2 import BitVector, _bitmask
+from .gf2 import BitVector, _bitmask, _ones, _popcount
 
 __all__ = [
     "FHVectors",
     "Face",
     "SimplePolytope",
-    "check_incidence",
-    "edges",
     "face_indicator",
     "faces_of_codim",
     "fh_vectors",
     "is_even",
     "polytope_from_json",
     "polytope_to_json",
-    "skeleton_connected",
     "validate",
     "vertex_neighbors",
 ]
@@ -69,15 +74,24 @@ class SimplePolytope:
 
 @dataclass(frozen=True)
 class Face:
-    """Face of codimension ``codim``, identified by its defining facets."""
+    """Face of codimension ``codim``, identified by its defining facets.
+
+    Its vertices are the set bits of ``vertex_mask`` (bit v is vertex v).
+    ``vertex_set`` is the same set as a frozenset, built on first use for
+    callers at the API edge.
+    """
 
     codim: int
     defining_facets: tuple[int, ...]
-    vertex_set: frozenset[int]
+    vertex_mask: int
+
+    @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(_ones(self.vertex_mask))
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertex_set)
+        return _popcount(self.vertex_mask)
 
 
 @dataclass(frozen=True)
@@ -165,15 +179,13 @@ def _skeleton(
     return tuple(tuple(sorted(x)) for x in neighbors), broken
 
 
-def _reachable(
-    neighbors: Sequence[Sequence[int]], start: int, removed: frozenset[int] = frozenset()
-) -> set[int]:
+def _reachable(neighbors: Sequence[Sequence[int]], start: int) -> set[int]:
     reached = {start}
     todo = [start]
     while todo:
         v = todo.pop()
         for w in neighbors[v]:
-            if w not in removed and w not in reached:
+            if w not in reached:
                 reached.add(w)
                 todo.append(w)
     return reached
@@ -271,15 +283,6 @@ def _incidence(
     return [], P
 
 
-def check_incidence(
-    dim: int,
-    facets: Iterable[Iterable[int]],
-    coords: Sequence[Sequence[object]] | None = None,
-) -> list[str]:
-    """Return the list of violated local simplicity checks (empty when valid)."""
-    return _incidence(dim, facets, coords, None)[0]
-
-
 def validate(
     dim: int,
     facets: Iterable[Iterable[int]],
@@ -298,72 +301,105 @@ def vertex_neighbors(P: SimplePolytope) -> tuple[tuple[int, ...], ...]:
     return P.derived("neighbors", lambda: _skeleton(P.vertex_facets, P.dim)[0])
 
 
-def edges(P: SimplePolytope) -> tuple[tuple[int, int], ...]:
-    """Vertex pairs sharing exactly dim - 1 facets, sorted."""
-    nbrs = vertex_neighbors(P)
-    return tuple((u, w) for u in P.vertices() for w in nbrs[u] if u < w)
+def _facet_lattice(P: SimplePolytope) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per facet i, its vertex mask and the mask of the facets j > i it meets."""
+
+    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        around = [_bitmask(fs) for fs in P.vertex_facets]
+        above = [reduce(or_, map(around.__getitem__, f)) for f in P.facets]
+        return (
+            tuple(_bitmask(f) for f in P.facets),
+            tuple(bits >> (i + 1) << (i + 1) for i, bits in enumerate(above)),
+        )
+
+    return P.derived("facet_lattice", build)
 
 
-def skeleton_connected(P: SimplePolytope, removed: frozenset[int] = frozenset()) -> bool:
-    """Whether the 1-skeleton minus ``removed`` is connected (and nonempty)."""
-    alive = [v for v in range(P.num_vertices) if v not in removed]
-    if not alive:
-        return False
-    return len(_reachable(vertex_neighbors(P), alive[0], removed)) == len(alive)
+_Level = list[tuple[tuple[int, ...], int, int]]
+
+
+def _descend(level: _Level, masks: Sequence[int], above: Sequence[int]) -> _Level:
+    """The next codimension: each face ANDed with each of its candidate facets.
+
+    Nonzero results are kept. A child's candidates are its parent's that
+    come after it and meet its new facet. Children of parents taken in
+    order come out sorted by defining facets.
+    """
+    out = []
+    for defining, mask, candidates in level:
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            sub = mask & masks[j]
+            if sub:
+                out.append((defining + (j,), sub, candidates & above[j]))
+    return out
+
+
+def _walk(P: SimplePolytope, k: int) -> Iterator[_Level]:
+    """Levels k, k + 1, ..., n of the face walk, each computed from the one before.
+
+    A level holds (defining facets, vertex mask, candidate facets) per
+    face; the candidates are the facets of higher index that meet every
+    defining facet. The walk starts from the deepest level up to k that
+    is stored on P, or from the polytope itself at codimension 0.
+    """
+    masks, above = _facet_lattice(P)
+    start = max((j for j in range(1, k + 1) if ("level", j) in P._derived), default=0)
+    top = [((), (1 << P.num_vertices) - 1, (1 << P.num_facets) - 1)]
+    level = P._derived[("level", start)] if start else top
+    for j in range(start, P.dim + 1):
+        if j >= k:
+            yield level
+        if j < P.dim:
+            level = _descend(level, masks, above)
 
 
 def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     """All codimension-k faces, ordered by their defining facet tuples.
 
     In a simple polytope every codimension-k face is cut out by exactly
-    k facets, so grouping the vertices by the k-subsets of their facet
-    sets yields each face with its vertex set. Codimension 0 is the
-    polytope itself with no defining facets, codimension n has one face
-    per vertex.
+    k facets, and the face of k facets is their intersection whenever it
+    is nonempty, so level k of the face walk lists them. Only the level
+    asked for is stored. Codimension 0 is the polytope itself with no
+    defining facets, codimension n has one face per vertex.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
+    level = P.derived(("level", k), lambda: next(_walk(P, k)))
     return P.derived(
-        ("faces", k),
-        lambda: tuple(
-            Face(codim=k, defining_facets=defining, vertex_set=frozenset(vs))
-            for defining, vs in sorted(_group_by_subsets(P.vertex_facets, k).items())
-        ),
+        ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask, _ in level)
     )
 
 
 def face_indicator(P: SimplePolytope, face: Face) -> BitVector:
     """Indicator vector of the face's vertex set in GF(2)^num_vertices."""
-    return BitVector(P.num_vertices, _bitmask(face.vertex_set))
+    return BitVector(P.num_vertices, face.vertex_mask)
 
 
 def fh_vectors(P: SimplePolytope) -> FHVectors:
     """Face counts by codimension and the h-vector.
 
-    f_k counts the distinct k-subsets of the vertices' facet sets. h is
-    recovered from sum_i f_i (t-1)^(n-i) = sum_i h_i t^(n-i) with exact
-    integer arithmetic; its symmetry is asserted.
+    f_k is the length of level k of the face walk, streamed so that at
+    most two levels are held at a time. h is recovered from
+    sum_i f_i (t-1)^(n-i) = sum_i h_i t^(n-i) with exact integer
+    arithmetic; its symmetry is asserted.
     """
 
     def build() -> FHVectors:
         n = P.dim
-        ordered = [sorted(fs) for fs in P.vertex_facets]
-        f = tuple(
-            len({subset for fs in ordered for subset in combinations(fs, k)})
-            for k in range(n + 1)
+        f = tuple(len(level) for level in _walk(P, 0))
+        h = tuple(
+            sum(f[j] * comb(n - j, n - i) * (-1) ** (i - j) for j in range(i + 1))
+            for i in range(n + 1)
         )
-        h = []
-        for i in range(n + 1):
-            acc = 0
-            for j in range(i + 1):
-                acc += f[j] * comb(n - j, n - i) * (-1) ** (i - j)
-            h.append(acc)
         if h != h[::-1]:
             raise TheoremViolation(
-                f"h-vector {tuple(h)} is not symmetric; "
+                f"h-vector {h} is not symmetric; "
                 "the incidence data cannot come from a simple polytope"
             )
-        return FHVectors(f=f, h=tuple(h))
+        return FHVectors(f=f, h=h)
 
     return P.derived("fh", build)
 
@@ -378,7 +414,10 @@ def is_even(P: SimplePolytope) -> bool:
         return True
     if P.dim == 2:
         return P.num_vertices % 2 == 0
-    return all(f.num_vertices % 2 == 0 for f in faces_of_codim(P, P.dim - 2))
+    return P.derived(
+        "even",
+        lambda: not any(_popcount(mask) & 1 for _, mask, _ in next(_walk(P, P.dim - 2))),
+    )
 
 
 def polytope_to_json(P: SimplePolytope) -> str:

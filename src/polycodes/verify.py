@@ -9,7 +9,7 @@ that failed without tripping an internal assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import corpus
 from .errors import InvalidInput
@@ -64,22 +64,22 @@ def corpus_subjects() -> list[tuple[str, SimplePolytope]]:
     return [(entry.label, entry.build()) for entry in corpus()]
 
 
-def _suite_colorability(subjects) -> list[CheckResult]:
-    results = []
+# Each suite yields (subject, check, passed, detail) rows; run_suite adds
+# the suite name.
+_Row = tuple[str, str, bool, str]
+
+
+def _suite_colorability(subjects) -> Iterator[_Row]:
     for label, P in subjects:
         report = colorability_report(P)
         if report.degenerate_dimension:
             detail = f"dimension {P.dim} below 3, direct search only: colorable={report.colorable}"
         else:
             detail = f"six criteria agree: colorable={report.colorable}"
-        results.append(
-            CheckResult("colorability", label, "criteria-agreement", True, detail)
-        )
-    return results
+        yield label, "criteria-agreement", True, detail
 
 
-def _suite_selfdual(subjects) -> list[CheckResult]:
-    results = []
+def _suite_selfdual(subjects) -> Iterator[_Row]:
     for label, P in subjects:
         h = fh_vectors(P).h
         shortfall = []
@@ -87,165 +87,123 @@ def _suite_selfdual(subjects) -> list[CheckResult]:
             dim = face_code(P, k).code.dim
             if dim < sum(h[: k + 1]):
                 shortfall.append(k)
-        results.append(
-            CheckResult(
-                "selfdual",
-                label,
-                "dimension-lower-bound",
-                not shortfall,
-                "dim of each code at least the partial h-sum"
-                if not shortfall
-                else f"bound fails at codimensions {shortfall}",
-            )
+        yield (
+            label,
+            "dimension-lower-bound",
+            not shortfall,
+            "dim of each code at least the partial h-sum"
+            if not shortfall
+            else f"bound fails at codimensions {shortfall}",
         )
         self_dual_ks = []
         for k in range(P.dim + 1):
             if self_duality_report(P, k).self_dual:
                 self_dual_ks.append(k)
-        results.append(
-            CheckResult(
-                "selfdual",
-                label,
-                "route-agreement",
-                True,
-                f"direct and structural routes agree for all k; self-dual at {self_dual_ks}",
-            )
+        yield (
+            label,
+            "route-agreement",
+            True,
+            f"direct and structural routes agree for all k; self-dual at {self_dual_ks}",
         )
         if P.dim == 4:
-            results.append(
-                CheckResult(
-                    "selfdual",
-                    label,
-                    "no-self-dual-dimension-4",
-                    not self_dual_ks,
-                    f"self-dual codimensions: {self_dual_ks}",
-                )
+            yield (
+                label,
+                "no-self-dual-dimension-4",
+                not self_dual_ks,
+                f"self-dual codimensions: {self_dual_ks}",
             )
         if is_even(P):
             law = dimension_law_check(P)
-            results.append(
-                CheckResult(
-                    "selfdual",
-                    label,
-                    "dimension-law",
-                    True,
-                    f"dims {tuple(r.dim for r in law.rows)} match partial h-sums; self-dual at {law.self_dual_codims}",
-                )
+            yield (
+                label,
+                "dimension-law",
+                True,
+                f"dims {tuple(r.dim for r in law.rows)} match partial h-sums; self-dual at {law.self_dual_codims}",
             )
             if P.dim % 2 == 1:
                 bound, exact = min_distance_bound_check(P)
-                results.append(
-                    CheckResult(
-                        "selfdual",
-                        label,
-                        "distance-bound",
-                        True,
-                        f"minimum distance {exact} within the face bound {bound}",
-                    )
+                yield (
+                    label,
+                    "distance-bound",
+                    True,
+                    f"minimum distance {exact} within the face bound {bound}",
                 )
                 de = doubly_even_report(P)
-                results.append(
-                    CheckResult(
-                        "selfdual",
-                        label,
-                        "doubly-even-criterion",
-                        True,
-                        f"doubly even: {de.doubly_even}, by face sizes and by weights",
-                    )
+                yield (
+                    label,
+                    "doubly-even-criterion",
+                    True,
+                    f"doubly even: {de.doubly_even}, by face sizes and by weights",
                 )
-    return results
 
 
-def _suite_duality(subjects) -> list[CheckResult]:
-    results = []
+def _suite_duality(subjects) -> Iterator[_Row]:
     for label, P in subjects:
         if not is_even(P):
             continue
         ok = duality_complement_check(P)
-        results.append(
-            CheckResult(
-                "duality",
-                label,
-                "complement-pairing",
-                ok,
-                "dual of each code is the complementary-codimension code"
-                if ok
-                else "pairing failed",
-            )
+        yield (
+            label,
+            "complement-pairing",
+            ok,
+            "dual of each code is the complementary-codimension code"
+            if ok
+            else "pairing failed",
         )
         bad = [k for k in range(1, P.dim + 1) if not circ_closure_check(P, k)]
-        results.append(
-            CheckResult(
-                "duality",
-                label,
-                "product-closure",
-                not bad,
-                "facet-indicator products span each code"
-                if not bad
-                else f"closure fails at codimensions {bad}",
-            )
+        yield (
+            label,
+            "product-closure",
+            not bad,
+            "facet-indicator products span each code"
+            if not bad
+            else f"closure fails at codimensions {bad}",
         )
-    return results
 
 
-def _suite_morse(subjects) -> list[CheckResult]:
-    results = []
+def _suite_morse(subjects) -> Iterator[_Row]:
     for label, P in subjects:
         if P.coords is None:
-            results.append(
-                CheckResult("morse", label, "skipped", True, "no coordinates")
-            )
+            yield label, "skipped", True, "no coordinates"
             continue
         for seed in _MORSE_SEEDS:
             phi = generic_height(P, seed)
             index_histogram(P, phi)
             for k in range(P.dim + 1):
                 extract_basis(P, phi, k)
-        results.append(
-            CheckResult(
-                "morse",
-                label,
-                "histogram-and-independence",
-                True,
-                f"{len(_MORSE_SEEDS)} seeds: histogram is the h-vector, selections independent",
-            )
+        yield (
+            label,
+            "histogram-and-independence",
+            True,
+            f"{len(_MORSE_SEEDS)} seeds: histogram is the h-vector, selections independent",
         )
-    return results
 
 
-def _suite_screen(subjects) -> list[CheckResult]:
-    results = []
+def _suite_screen(subjects) -> Iterator[_Row]:
     for l, d, de, expected in _SCREEN_CASES:
         verdict = realizability_screen(l, d, de)
         witness = f" ({verdict.witness.text()})" if verdict.witness else ""
-        results.append(
-            CheckResult(
-                "screen",
-                f"({l}, {d}, {'doubly even' if de else 'not doubly even'})",
-                "pinned-verdict",
-                verdict.status == expected,
-                f"expected {expected}, got {verdict.status}{witness}",
-            )
+        yield (
+            f"({l}, {d}, {'doubly even' if de else 'not doubly even'})",
+            "pinned-verdict",
+            verdict.status == expected,
+            f"expected {expected}, got {verdict.status}{witness}",
         )
     for l, expected_bound in ((8, 4), (16, 4), (24, 8)):
         bound, _ = mallows_sloane(l)
-        results.append(
-            CheckResult(
-                "screen",
-                f"length {l}",
-                "extremal-bound",
-                bound == expected_bound,
-                f"expected {expected_bound}, got {bound}",
-            )
+        yield (
+            f"length {l}",
+            "extremal-bound",
+            bound == expected_bound,
+            f"expected {expected_bound}, got {bound}",
         )
-    return results
 
 
-def _suite_conjecture(subjects) -> list[CheckResult]:
+def _suite_conjecture(subjects) -> Iterator[_Row]:
     # Self-dual face codes are conjectured to force odd dimension,
     # middle codimension, and evenness. Observations are reported,
     # never asserted: a counterexample still passes.
-    results = []
+    observed = False
     for label, P in subjects:
         for k in range(P.dim + 1):
             if not is_self_dual(face_code(P, k).code).self_dual:
@@ -255,16 +213,10 @@ def _suite_conjecture(subjects) -> list[CheckResult]:
                 f"self-dual at k={k}: dimension {P.dim}, even={is_even(P)}; "
                 + ("consistent" if consistent else "COUNTEREXAMPLE OBSERVED")
             )
-            results.append(
-                CheckResult("conjecture", label, "self-dual-shape", True, detail)
-            )
-    if not results:
-        results.append(
-            CheckResult(
-                "conjecture", "corpus", "self-dual-shape", True, "no self-dual codes"
-            )
-        )
-    return results
+            observed = True
+            yield label, "self-dual-shape", True, detail
+    if not observed:
+        yield "corpus", "self-dual-shape", True, "no self-dual codes"
 
 
 _SUITE_RUNNERS = {
@@ -283,7 +235,4 @@ def run_suite(
     if suite not in SUITES:
         raise InvalidInput(f"unknown suite {suite!r}, choose from {', '.join(SUITES)}")
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(_SUITE_RUNNERS[name](subjects))
-    return results
+    return [CheckResult(name, *row) for name in names for row in _SUITE_RUNNERS[name](subjects)]

@@ -3,11 +3,16 @@
 Oracles here deliberately avoid the library's own algorithms: spans are
 enumerated by subset XOR, eliminations probe every pivot row, h-vectors
 come from literal polynomial multiplication, faces from global subset
-intersections, edge neighbors from a scan of all vertex pairs, facet
-colorings from a backtracking search over facets, incidence isomorphism
-from a search over facet bijections and the facet-product closure from
-every k-multiset of facets. Frozen golden values in the test files were
-produced by these oracles.
+intersections and from grouping vertices by the subsets of their facet
+sets, heights from Fraction sums, edge neighbors from a scan of all
+vertex pairs, facet colorings from a backtracking search over facets,
+incidence isomorphism from a search over facet bijections and the
+facet-product closure from every k-multiset of facets. Frozen golden
+values in the test files were produced by these oracles.
+
+The small readers at the end (violation lists, edges, skeleton
+connectivity, the matrix text parser, the Reed-Muller comparison) have
+no caller in the library and live here with their tests.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
@@ -116,6 +122,54 @@ def faces_by_global_intersection(
         if containing == frozenset(subset):
             faces[subset] = frozenset(vs)
     return faces
+
+
+def faces_by_grouping(P: pc.SimplePolytope, k: int) -> tuple[pc.Face, ...]:
+    """All codimension-k faces, sorted by defining facets, from grouping the
+    vertices by the k-subsets of their facet sets: the group of a k-subset
+    is the intersection of those k facets. This was the library's face
+    enumeration before the face walk."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, fs in enumerate(P.vertex_facets):
+        for subset in itertools.combinations(sorted(fs), k):
+            groups.setdefault(subset, []).append(v)
+    return tuple(
+        pc.Face(k, defining, sum(1 << v for v in vs)) for defining, vs in sorted(groups.items())
+    )
+
+
+def f_vector_by_grouping(P: pc.SimplePolytope) -> tuple[int, ...]:
+    """f_k as the number of distinct k-subsets of the vertices' facet sets."""
+    return tuple(len(faces_by_grouping(P, k)) for k in range(P.dim + 1))
+
+
+def generic_height_by_fractions(P: pc.SimplePolytope, seed: int) -> pc.HeightFunction:
+    """generic_height's draws, each tested by building the Fraction heights:
+    the same seeded objectives and doubling bound, the distinctness test left
+    to HeightFunction. This was the library's route before integer draws."""
+    rng = random.Random(seed)
+    bound = 16
+    for _ in range(100):
+        objective = tuple(rng.randint(-bound, bound) for _ in range(P.dim))
+        try:
+            return pc.height_from_objective(P, objective)
+        except pc.GenericityFailure:
+            bound *= 2
+    raise pc.GenericityFailure("no generic objective found in 100 draws")
+
+
+def heawood_torus_facets() -> list[list[int]]:
+    """Facets of the dual of the 7-vertex torus triangulation (the Heawood map).
+
+    Facets are indexed by Z7 and the 14 vertices are the triangles
+    {i, i+1, i+3} and {i, i+2, i+3} mod 7, each lying on its three facets.
+    The incidence passes the local simplicity checks, but its h-vector is
+    not symmetric.
+    """
+    triangles = [
+        {i % 7, (i + a) % 7, (i + 3) % 7} for a in (1, 2) for i in range(7)
+    ]
+    return [[v for v, t in enumerate(triangles) if f in t] for f in range(7)]
 
 
 def neighbors_by_pair_scan(P: pc.SimplePolytope) -> tuple[tuple[int, ...], ...]:
@@ -382,3 +436,56 @@ recipe_texts = st.recursive(
     ),
     max_leaves=3,
 )
+
+
+def check_incidence(
+    dim: int, facets: Iterable[Iterable[int]], coords: Sequence[Sequence[object]] | None = None
+) -> list[str]:
+    """The violated local simplicity checks, as validate reports them (empty when valid)."""
+    try:
+        pc.validate(dim, facets, coords=coords)
+    except pc.InvalidPolytope as exc:
+        return exc.reasons
+    return []
+
+
+def edges(P: pc.SimplePolytope) -> tuple[tuple[int, int], ...]:
+    """Vertex pairs sharing exactly dim - 1 facets, sorted."""
+    nbrs = pc.vertex_neighbors(P)
+    return tuple((u, w) for u in P.vertices() for w in nbrs[u] if u < w)
+
+
+def skeleton_connected(P: pc.SimplePolytope, removed: frozenset[int] = frozenset()) -> bool:
+    """Whether the 1-skeleton minus ``removed`` is connected (and nonempty)."""
+    alive = [v for v in P.vertices() if v not in removed]
+    if not alive:
+        return False
+    nbrs = pc.vertex_neighbors(P)
+    reached = {alive[0]}
+    todo = [alive[0]]
+    while todo:
+        for w in nbrs[todo.pop()]:
+            if w not in removed and w not in reached:
+                reached.add(w)
+                todo.append(w)
+    return len(reached) == len(alive)
+
+
+def parse_matrix(text: str) -> list[pc.BitVector]:
+    """Parse the '0'/'1' line format produced by format_matrix."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise pc.InvalidInput("empty matrix")
+    rows = [pc.BitVector.from01(line.strip()) for line in lines]
+    if len({r.length for r in rows}) != 1:
+        raise pc.InvalidInput("matrix rows have unequal lengths")
+    return rows
+
+
+def reed_muller_check(k: int) -> bool:
+    """Whether the codimension-k code of cube(2k+1) equals RM(k, 2k+1)."""
+    if k < 1:
+        raise pc.InvalidInput(f"order must be >= 1, got {k}")
+    if 2 * k + 1 > 5:
+        raise pc.BudgetExceeded(f"cube dimension {2 * k + 1} over the comparison budget 5")
+    return pc.face_code(pc.cube(2 * k + 1), k).code == pc.reed_muller(k, 2 * k + 1)

@@ -18,6 +18,8 @@ import polycodes.cli
 from polycodes.cli import main
 from polycodes.verify import CheckResult
 
+from helpers import heawood_torus_facets
+
 CUBE3_MATRIX = (
     "101010",
     "101001",
@@ -386,6 +388,15 @@ def test_theorem_violation_exits_3(capsys, monkeypatch):
     rc = main(["info", "cube 3"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("theorem check failed:")
+
+
+def test_asymmetric_h_vector_in_a_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "heawood.json"
+    path.write_text(json.dumps({"dim": 3, "facets": heawood_torus_facets()}))
+    assert main(["info", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "h-vector (1, 4, 10, -1) is not symmetric" in captured.err
 
 
 def test_console_script_is_wired():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import polycodes as pc
 
-from helpers import h_from_f_by_polynomial, incidence_isomorphic, recipe_texts
+from helpers import check_incidence, h_from_f_by_polynomial, incidence_isomorphic, recipe_texts
 
 
 # ---------------------------------------------------------------- families
@@ -187,7 +187,7 @@ def test_vertex_cut_every_vertex_of_cube_is_valid():
     P = pc.cube(3)
     for v in range(P.num_vertices):
         Q = pc.vertex_cut(P, v)
-        assert pc.check_incidence(Q.dim, Q.facets) == []
+        assert check_incidence(Q.dim, Q.facets) == []
         assert Q.num_vertices == 10
 
 
@@ -204,7 +204,7 @@ def test_stacked_cuts_compose():
         P = pc.vertex_cut(P, 0)
     assert P.num_vertices == 4 + 3 * 2
     assert len(P.facets) == 4 + 3
-    assert pc.check_incidence(P.dim, P.facets) == []
+    assert check_incidence(P.dim, P.facets) == []
 
 
 def test_vertex_cut_keeps_exact_coords():
@@ -231,7 +231,7 @@ def test_vertex_cut_rejects_bad_vertex():
 def test_dual_cyclic_counts():
     P = pc.dual_cyclic_5_7()
     assert (P.dim, P.num_vertices, len(P.facets)) == (5, 12, 7)
-    assert pc.check_incidence(P.dim, P.facets) == []
+    assert check_incidence(P.dim, P.facets) == []
 
 
 def test_dual_cyclic_facet_sizes():
@@ -266,7 +266,7 @@ def test_recipe_text_round_trips():
         assert r.text() == text
         assert str(r) == text
         built = r.build()
-        assert pc.check_incidence(built.dim, built.facets) == []
+        assert check_incidence(built.dim, built.facets) == []
 
 
 def test_recipe_build_matches_direct_calls():
@@ -298,6 +298,6 @@ def test_recipe_parse_errors(bad):
 @given(text=recipe_texts)
 def test_random_recipes_build_valid_simple_polytopes(text):
     P = pc.parse_recipe(text).build()
-    assert pc.check_incidence(P.dim, P.facets) == []
+    assert check_incidence(P.dim, P.facets) == []
     for fs in P.vertex_facets:
         assert len(fs) == P.dim

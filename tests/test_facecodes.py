@@ -18,6 +18,7 @@ from helpers import (
     coloring_by_backtracking,
     faces_by_global_intersection,
     recipe_texts,
+    reed_muller_check,
 )
 
 PRISM6_MATRIX = (
@@ -414,15 +415,15 @@ def test_doubly_even_inapplicable():
 
 
 def test_reed_muller_check_small_orders():
-    assert pc.reed_muller_check(1)
-    assert pc.reed_muller_check(2)
+    assert reed_muller_check(1)
+    assert reed_muller_check(2)
 
 
 def test_reed_muller_check_budget_and_input():
     with pytest.raises(pc.BudgetExceeded):
-        pc.reed_muller_check(3)
+        reed_muller_check(3)
     with pytest.raises(pc.InvalidInput):
-        pc.reed_muller_check(0)
+        reed_muller_check(0)
 
 
 def test_cube3_code_equals_first_order_reed_muller_exactly():

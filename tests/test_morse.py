@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 import polycodes as pc
+
+from helpers import generic_height_by_fractions
 
 
 def test_cube3_binary_objective():
@@ -84,6 +87,30 @@ def test_histogram_is_seed_independent():
         for seed in range(20):
             phi = pc.generic_height(P, seed=seed)
             assert pc.index_histogram(P, phi) == h
+
+
+def test_integer_draws_match_the_fraction_route_on_the_corpus():
+    for entry in pc.corpus():
+        P = entry.build()
+        if P.coords is None:
+            continue
+        for seed in range(5):
+            assert pc.generic_height(P, seed) == generic_height_by_fractions(P, seed)
+
+
+def test_integer_draws_match_the_fraction_route_after_retries():
+    # At seed 3 the 8-cube takes 8 draws: seven collide and double the bound.
+    P = pc.cube(8)
+    assert pc.generic_height(P, seed=3) == generic_height_by_fractions(P, 3)
+
+
+def test_integer_draws_match_the_fraction_route_on_mixed_denominators():
+    # Polygon points have denominators 1 + i^2, so the points of a product
+    # are scaled by different common denominators.
+    P = pc.parse_recipe("product (polygon 5) (polygon 7)").build()
+    assert len({math.lcm(*(c.denominator for c in point)) for point in P.coords}) > 1
+    for seed in range(5):
+        assert pc.generic_height(P, seed) == generic_height_by_fractions(P, seed)
 
 
 # ------------------------------------------------------------ basis extract

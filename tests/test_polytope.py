@@ -13,12 +13,18 @@ from hypothesis import given, settings
 import polycodes as pc
 
 from helpers import (
+    check_incidence,
+    edges,
+    f_vector_by_grouping,
     faces_by_global_intersection,
+    faces_by_grouping,
     h_from_f_by_polynomial,
+    heawood_torus_facets,
     incidence_isomorphic,
     neighbors_by_pair_scan,
     outward_neighbor_map,
     recipe_texts,
+    skeleton_connected,
 )
 
 TETRAHEDRON_FACETS = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
@@ -64,9 +70,9 @@ def test_validate_collects_multiple_reasons():
 
 
 def test_check_incidence_reports_without_raising():
-    reasons = pc.check_incidence(2, [{0, 1}, {1, 2}])
+    reasons = check_incidence(2, [{0, 1}, {1, 2}])
     assert reasons
-    assert pc.check_incidence(2, [{0, 1}, {1, 2}, {2, 0}]) == []
+    assert check_incidence(2, [{0, 1}, {1, 2}, {2, 0}]) == []
 
 
 def _edge_rule_message(v, facets, others):
@@ -130,14 +136,14 @@ PINNED_VIOLATIONS = [
 
 @pytest.mark.parametrize("dim, facets, expected", PINNED_VIOLATIONS)
 def test_check_incidence_pins_violation_lists(dim, facets, expected):
-    assert pc.check_incidence(dim, facets) == expected
+    assert check_incidence(dim, facets) == expected
     with pytest.raises(pc.InvalidPolytope) as err:
         pc.validate(dim, facets)
     assert list(err.value.reasons) == expected
 
 
 def test_missing_vertex_indices_are_counted_not_listed():
-    reasons = pc.check_incidence(2, [{0, 1}, {1, 200_000}, {200_000, 0}])
+    reasons = check_incidence(2, [{0, 1}, {1, 200_000}, {200_000, 0}])
     assert reasons == [
         "vertex indices must cover 0..200000; missing [2, 3, 4, 5, 6] and 199993 more"
     ]
@@ -174,6 +180,39 @@ def test_faces_match_global_intersection_oracle(recipe):
         assert computed == oracle
 
 
+def assert_walk_matches_grouping(text: str) -> None:
+    """The face walk against the old grouping on every k, walking up from
+    stored levels on one instance and from the top on fresh ones."""
+    P = pc.parse_recipe(text).build()
+    expected = [faces_by_grouping(P, k) for k in range(P.dim + 1)]
+    for k in reversed(range(P.dim + 1)):
+        assert pc.faces_of_codim(pc.parse_recipe(text).build(), k) == expected[k]
+    for k, grouped in enumerate(expected):
+        walked = pc.faces_of_codim(P, k)
+        assert [f.defining_facets for f in walked] == [f.defining_facets for f in grouped]
+        assert [f.vertex_set for f in walked] == [f.vertex_set for f in grouped]
+        assert walked == grouped
+    assert pc.fh_vectors(P).f == f_vector_by_grouping(P)
+    if P.dim >= 3:
+        assert pc.is_even(P) == all(f.num_vertices % 2 == 0 for f in expected[P.dim - 2])
+
+
+def test_face_walk_matches_grouping_on_corpus():
+    for entry in pc.corpus():
+        assert_walk_matches_grouping(entry.label)
+
+
+@pytest.mark.parametrize("text", ["cube 9", "vcut (vcut (cube 5) 0) 3"])
+def test_face_walk_matches_grouping_on_larger_inputs(text):
+    assert_walk_matches_grouping(text)
+
+
+@settings(deadline=None, max_examples=25)
+@given(recipe_texts)
+def test_face_walk_matches_grouping_on_random_recipes(text):
+    assert_walk_matches_grouping(text)
+
+
 def test_faces_of_codim_rejects_bad_codim():
     with pytest.raises(pc.InvalidInput):
         pc.faces_of_codim(pc.cube(3), 4)
@@ -193,6 +232,15 @@ def test_indicator_products_match_set_intersections():
         u = pc.BitVector.from_support(8, P.facets[i])
         v = pc.BitVector.from_support(8, P.facets[j])
         assert set((u & v).support) == set(P.facets[i] & P.facets[j])
+
+
+def test_asymmetric_h_vector_raises_on_the_heawood_torus_map():
+    # The dual of the 7-vertex torus triangulation passes every local
+    # check, but no simple polytope has its f-vector (1, 7, 21, 14).
+    P = pc.validate(3, heawood_torus_facets())
+    assert (P.num_vertices, P.num_facets) == (14, 7)
+    with pytest.raises(pc.TheoremViolation, match=r"h-vector \(1, 4, 10, -1\) is not symmetric"):
+        pc.fh_vectors(P)
 
 
 def test_fh_vectors_on_pinned_examples():
@@ -215,22 +263,22 @@ def test_fh_vectors_match_polynomial_oracle(entry):
 
 
 def test_edges_on_small_examples():
-    cube_edges = pc.edges(pc.cube(3))
+    cube_edges = edges(pc.cube(3))
     assert len(cube_edges) == 12
     degree = [0] * 8
     for u, w in cube_edges:
         degree[u] += 1
         degree[w] += 1
     assert degree == [3] * 8
-    penta = pc.edges(pc.polygon(5))
+    penta = edges(pc.polygon(5))
     assert len(penta) == 5
-    assert len(pc.edges(pc.prism(6))) == 18
+    assert len(edges(pc.prism(6))) == 18
 
 
 def test_edges_equal_codim_n_minus_1_faces():
     for P in (pc.cube(3), pc.prism(6), pc.simplex(4)):
         face_sets = {f.vertex_set for f in pc.faces_of_codim(P, P.dim - 1)}
-        assert {frozenset(e) for e in pc.edges(P)} == face_sets
+        assert {frozenset(e) for e in edges(P)} == face_sets
 
 
 @pytest.mark.parametrize("entry", pc.corpus(), ids=lambda e: e.label)
@@ -238,7 +286,7 @@ def test_neighbors_and_edges_match_pair_scan_oracle(entry):
     P = entry.build()
     oracle = neighbors_by_pair_scan(P)
     assert pc.vertex_neighbors(P) == oracle
-    assert pc.edges(P) == tuple((u, w) for u in P.vertices() for w in oracle[u] if u < w)
+    assert edges(P) == tuple((u, w) for u in P.vertices() for w in oracle[u] if u < w)
 
 
 @settings(deadline=None, max_examples=25)
@@ -313,7 +361,7 @@ def test_balinski_connectivity_for_dim_3_members():
     for label in ("cube 3", "prism 6", "vcut (simplex 3) 0"):
         P = pc.parse_recipe(label).build()
         for pair in itertools.combinations(range(P.num_vertices), 2):
-            assert pc.skeleton_connected(P, frozenset(pair))
+            assert skeleton_connected(P, frozenset(pair))
 
 
 def test_incidence_isomorphic_positive_and_negative():

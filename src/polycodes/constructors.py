@@ -208,35 +208,27 @@ class Recipe:
         return self.text()
 
     def build(self) -> SimplePolytope:
-        op, args = self.op, self.args
-        if op == "segment":
-            return segment()
-        if op == "dualcyclic57":
-            return dual_cyclic_5_7()
-        if op == "simplex":
-            return simplex(args[0])
-        if op == "polygon":
-            return polygon(args[0])
-        if op == "cube":
-            return cube(args[0])
-        if op == "prism":
-            return prism(args[0])
-        if op == "product":
-            return _rename(product(args[0].build(), args[1].build()), self.text())
-        if op == "vcut":
-            return _rename(vertex_cut(args[0].build(), args[1]), self.text())
-        raise InvalidInput(f"unknown recipe op {op!r}")
+        """The polytope, named by this recipe's text."""
+        if self.op not in _OPS:
+            raise InvalidInput(f"unknown recipe op {self.op!r}")
+        kinds, make = _OPS[self.op]
+        if len(self.args) != len(kinds) or not all(map(isinstance, self.args, kinds)):
+            wanted = ", ".join(kind.__name__ for kind in kinds)
+            raise InvalidInput(f"recipe op {self.op!r} takes ({wanted}), got {self.args!r}")
+        P = make(*(a.build() if isinstance(a, Recipe) else a for a in self.args))
+        return P if P.name == self.text() else _rename(P, self.text())
 
 
-_ARITY = {
-    "segment": (),
-    "dualcyclic57": (),
-    "simplex": ("int",),
-    "polygon": ("int",),
-    "cube": ("int",),
-    "prism": ("int",),
-    "product": ("recipe", "recipe"),
-    "vcut": ("recipe", "int"),
+# Per recipe op: the kinds of its arguments and its constructor.
+_OPS = {
+    "segment": ((), segment),
+    "dualcyclic57": ((), dual_cyclic_5_7),
+    "simplex": ((int,), simplex),
+    "polygon": ((int,), polygon),
+    "cube": ((int,), cube),
+    "prism": ((int,), prism),
+    "product": ((Recipe, Recipe), product),
+    "vcut": ((Recipe, int), vertex_cut),
 }
 
 
@@ -248,15 +240,15 @@ def _parse_expr(tokens: list[str], pos: int) -> tuple[Recipe, int]:
     if pos >= len(tokens):
         raise InvalidInput("unexpected end of recipe")
     op = tokens[pos]
-    if op not in _ARITY:
+    if op not in _OPS:
         raise InvalidInput(f"unknown recipe op {op!r}")
     pos += 1
     args: list = []
-    for kind in _ARITY[op]:
+    for kind in _OPS[op][0]:
         if pos >= len(tokens):
             raise InvalidInput(f"recipe op {op!r} is missing arguments")
         tok = tokens[pos]
-        if kind == "int":
+        if kind is int:
             try:
                 args.append(int(tok))
             except ValueError:

@@ -9,7 +9,6 @@ TheoremViolation when the routes disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import Inapplicable, InvalidInput, TheoremViolation
 from .gf2 import (
@@ -18,7 +17,6 @@ from .gf2 import (
     SelfDualityTrace,
     _doubly_even,
     _ones,
-    _popcount,
     _span,
     dual_code,
     is_self_dual,
@@ -27,7 +25,7 @@ from .gf2 import (
 from .polytope import (
     Face,
     SimplePolytope,
-    _walk,
+    _face_summary,
     faces_of_codim,
     fh_vectors,
     is_even,
@@ -281,10 +279,7 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
     fc = face_code(P, k)
     trace = is_self_dual(fc.code)
     half = P.num_vertices % 2 == 0 and 2 * fc.code.dim == P.num_vertices
-    parity_rows = [
-        (codim, not any(_popcount(mask) & 1 for _, mask, _ in level))
-        for codim, level in zip(range(k, min(2 * k, n) + 1), _walk(P, k))
-    ]
+    parity_rows = [(c, _face_summary(P)[c][1]) for c in range(k, min(2 * k, n) + 1)]
     parity_ok = all(ok for _, ok in parity_rows)
     if 2 * k > n:
         # The parity range is cut off at the vertices, whose count of 1 is odd.
@@ -329,13 +324,13 @@ def circ_closure_check(P: SimplePolytope, k: int) -> bool:
     elements. Since F AND F = F, a multiset's product is that of its
     support, a set of 1..k facets, and a zero product adds nothing. The
     nonzero products of j facets are the codimension-j faces, so the
-    products are the f_1 + ... + f_k face masks of the face walk.
+    products are the f_1 + ... + f_k face masks of codimensions 1..k.
     """
     if not is_even(P):
         raise Inapplicable("product closure requires an even polytope")
     if not 1 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 1..{P.dim}")
-    products = [mask for level in islice(_walk(P, 1), k) for _, mask, _ in level]
+    products = [f.vertex_mask for j in range(1, k + 1) for f in faces_of_codim(P, j)]
     return _span(P.num_vertices, products) == face_code(P, k).code
 
 

@@ -6,11 +6,14 @@ of simplicity (n facets and n edge neighbors per vertex, connected
 skeleton). Global polytopality of abstract incidence data is not
 decided here; inputs passing the local checks are processed as given.
 
-Faces carry their vertex sets as int masks (bit v is vertex v), the
-representation the face codes use. They come from one walk of the face
-lattice: the faces of codimension k are the nonzero ANDs of each face of
-codimension k - 1 with the facets of higher index than its defining
-ones, so every level comes out sorted by defining facets.
+Vertex sets are int masks (bit v is vertex v), as in the face codes.
+Validation builds the facet masks once, reads the edge rule from them
+and keeps them for the face walk: the faces of codimension k are the
+nonzero ANDs of each face of codimension k - 1 with the facets of higher
+index than its defining ones, so each level comes out sorted by defining
+facets. One walk stores, per codimension, the face count and whether
+every face is even; the f-vector, evenness and the self-duality parity
+window read that summary.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, islice
 from math import comb
-from operator import or_
+from operator import and_, or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInput, InvalidPolytope, TheoremViolation
@@ -108,111 +111,91 @@ def _normalize_facets(facets: Iterable[Iterable[int]]) -> tuple[frozenset[int], 
         fs = frozenset(fac)
         for v in fs:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidInput(f"vertex indices must be nonnegative integers, got {v!r}")
+                raise InvalidPolytope([f"vertex indices must be nonnegative integers, got {v!r}"])
         out.append(fs)
     return tuple(out)
 
 
+def _rational(x: object) -> Fraction:
+    """x as a Fraction; only a Fraction, an int that is not a bool, or a rational string is one."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInput(f"entry {x!r} is not rational")
+
+
 def _normalize_coords(
     coords: Sequence[Sequence[object]], dim: int, num_vertices: int
-) -> tuple[tuple[Fraction, ...], ...] | list[str]:
-    violations = []
+) -> tuple[tuple[tuple[Fraction, ...], ...], list[str]]:
+    """The points as Fractions, and the violations that keep them from being coordinates."""
     if len(coords) != num_vertices:
-        return [f"coords has {len(coords)} points for {num_vertices} vertices"]
-    points = []
+        return (), [f"coords has {len(coords)} points for {num_vertices} vertices"]
+    points, violations = [], []
     for i, point in enumerate(coords):
         if len(point) != dim:
             violations.append(f"coords[{i}] has {len(point)} entries, expected {dim}")
             continue
-        row = []
-        for x in point:
-            if isinstance(x, Fraction):
-                row.append(x)
-            elif isinstance(x, int) and not isinstance(x, bool):
-                row.append(Fraction(x))
-            else:
-                violations.append(f"coords[{i}] entry {x!r} is not rational")
-                break
-        else:
-            points.append(tuple(row))
-    if violations:
-        return violations
-    return tuple(points)
-
-
-def _group_by_subsets(
-    vertex_facets: Sequence[frozenset[int]], k: int
-) -> dict[tuple[int, ...], list[int]]:
-    """Vertices grouped by the k-subsets of their facet sets, each group ascending.
-
-    The group of a k-subset is the intersection of those k facets.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v, fs in enumerate(vertex_facets):
-        for subset in combinations(sorted(fs), k):
-            groups.setdefault(subset, []).append(v)
-    return groups
+        try:
+            points.append(tuple(map(_rational, point)))
+        except InvalidInput as exc:
+            violations.append(f"coords[{i}] {exc}")
+    return tuple(points), violations
 
 
 def _skeleton(
-    vertex_facets: Sequence[frozenset[int]], dim: int
+    vertex_facets: Sequence[frozenset[int]], masks: Sequence[int]
 ) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, list[int], int]]]:
     """Edge neighbors, and every (vertex, facets, other count) that breaks the edge rule.
 
-    The edge rule: each (dim-1)-subset of a vertex's facets is shared
-    with exactly one other vertex, so every group of the (dim-1)-subset
-    grouping is one edge. Breaks come in vertex order, then by dropped
-    facet ascending.
+    The edge rule: the vertex masks of the facets of v but one, ANDed,
+    minus v, leave exactly one vertex, the other end of an edge. The AND
+    without facet j is that of the masks before j and of those after it.
+    Breaks come in vertex order, then by dropped facet ascending.
     """
-    groups = _group_by_subsets(vertex_facets, dim - 1)
-    neighbors: list[list[int]] = [[] for _ in vertex_facets]
+    everything = (1 << len(vertex_facets)) - 1
+    neighbors = []
     broken = []
     for v, fs in enumerate(vertex_facets):
         ordered = sorted(fs)
-        for j in range(len(ordered)):
-            rest = ordered[:j] + ordered[j + 1 :]
-            group = groups[tuple(rest)]
-            if len(group) == 2:
-                neighbors[v].append(group[1] if group[0] == v else group[0])
+        around = [masks[i] for i in ordered]
+        after = [*accumulate(reversed(around), and_, initial=everything)][-2::-1]
+        ends = []
+        for j, (head, tail) in enumerate(zip(accumulate(around, and_, initial=everything), after)):
+            others = (head & tail) ^ (1 << v)
+            if others and not others & (others - 1):
+                ends.append(others.bit_length() - 1)
             else:
-                broken.append((v, rest, len(group) - 1))
-    return tuple(tuple(sorted(x)) for x in neighbors), broken
+                broken.append((v, ordered[:j] + ordered[j + 1 :], _popcount(others)))
+        neighbors.append(tuple(sorted(ends)))
+    return tuple(neighbors), broken
 
 
-def _reachable(neighbors: Sequence[Sequence[int]], start: int) -> set[int]:
-    reached = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for w in neighbors[v]:
-            if w not in reached:
-                reached.add(w)
-                todo.append(w)
-    return reached
-
-
-def _incidence(
+def validate(
     dim: int,
     facets: Iterable[Iterable[int]],
-    coords: Sequence[Sequence[object]] | None,
-    name: str | None,
-) -> tuple[list[str], SimplePolytope | None]:
-    """The one validation pass: the violated checks, or the polytope when there are none."""
-    if not isinstance(dim, int) or dim < 1:
-        return [f"dimension must be a positive integer, got {dim!r}"], None
-    try:
-        fsets = _normalize_facets(facets)
-    except InvalidInput as exc:
-        return [str(exc)], None
+    coords: Sequence[Sequence[object]] | None = None,
+    name: str | None = None,
+) -> SimplePolytope:
+    """Build a SimplePolytope, raising InvalidPolytope with every violated check.
+
+    The checks run in stages, and a stage with violations ends the pass.
+    The facet masks and the edge neighbors it builds are kept on the polytope.
+    """
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise InvalidPolytope([f"dimension must be a positive integer, got {dim!r}"])
+    fsets = _normalize_facets(facets)
     violations: list[str] = []
     m = len(fsets)
     if m < dim + 1:
         violations.append(f"a {dim}-polytope needs at least {dim + 1} facets, got {m}")
-    if any(not f for f in fsets):
-        violations.append("facets must be nonempty")
-        return violations, None
+    if not all(fsets):
+        raise InvalidPolytope([*violations, "facets must be nonempty"])
     if not fsets:
-        return violations or ["no facets given"], None
+        raise InvalidPolytope(violations)
 
     present = sorted(set().union(*fsets))
     num_vertices = present[-1] + 1
@@ -223,10 +206,8 @@ def _incidence(
         gaps = (range(lo + 1, hi) for lo, hi in zip([-1, *present], present))
         shown = list(islice(chain.from_iterable(gaps), 5))
         more = f" and {num_missing - 5} more" if num_missing > 5 else ""
-        violations.append(
-            f"vertex indices must cover 0..{num_vertices - 1}; missing {shown}{more}"
-        )
-        return violations, None
+        missing = f"vertex indices must cover 0..{num_vertices - 1}; missing {shown}{more}"
+        raise InvalidPolytope([*violations, missing])
 
     incident: list[list[int]] = [[] for _ in range(num_vertices)]
     for i, f in enumerate(fsets):
@@ -247,9 +228,10 @@ def _incidence(
             break
         seen[fs] = v
     if violations:
-        return violations, None
+        raise InvalidPolytope(violations)
 
-    neighbors, broken = _skeleton(vertex_facets, dim)
+    masks = tuple(map(_bitmask, fsets))
+    neighbors, broken = _skeleton(vertex_facets, masks)
     for v, rest, others in broken[:5]:
         violations.append(
             f"vertex {v} shares facets {rest} with {others} other vertices, expected exactly 1"
@@ -257,62 +239,54 @@ def _incidence(
     if len(broken) > 5:
         violations.append(f"({len(broken) - 5} further edge violations suppressed)")
     if violations:
-        return violations, None
+        raise InvalidPolytope(violations)
 
-    reached = len(_reachable(neighbors, 0))
-    if reached != num_vertices:
-        violations.append(f"1-skeleton is disconnected ({reached} of {num_vertices} reachable)")
-    norm_coords = None
+    reached, todo = {0}, [0]
+    while todo:
+        for w in neighbors[todo.pop()]:
+            if w not in reached:
+                reached.add(w)
+                todo.append(w)
+    if len(reached) != num_vertices:
+        violations.append(
+            f"1-skeleton is disconnected ({len(reached)} of {num_vertices} reachable)"
+        )
     if coords is not None:
-        normalized = _normalize_coords(coords, dim, num_vertices)
-        if isinstance(normalized, list):
-            violations.extend(normalized)
-        else:
-            norm_coords = normalized
+        coords, bad_coords = _normalize_coords(coords, dim, num_vertices)
+        violations.extend(bad_coords)
     if violations:
-        return violations, None
+        raise InvalidPolytope(violations)
     P = SimplePolytope(
         dim=dim,
         facets=fsets,
         num_vertices=num_vertices,
         vertex_facets=vertex_facets,
-        coords=norm_coords,
+        coords=coords,
         name=name,
     )
-    P.derived("neighbors", lambda: neighbors)
-    return [], P
-
-
-def validate(
-    dim: int,
-    facets: Iterable[Iterable[int]],
-    coords: Sequence[Sequence[object]] | None = None,
-    name: str | None = None,
-) -> SimplePolytope:
-    """Build a SimplePolytope, raising InvalidPolytope with every violated check."""
-    violations, P = _incidence(dim, facets, coords, name)
-    if violations:
-        raise InvalidPolytope(violations)
+    P._derived.update(facet_masks=masks, neighbors=neighbors)
     return P
+
+
+def _facet_masks(P: SimplePolytope) -> tuple[int, ...]:
+    """The vertex mask of each facet."""
+    return P.derived("facet_masks", lambda: tuple(map(_bitmask, P.facets)))
 
 
 def vertex_neighbors(P: SimplePolytope) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists of the 1-skeleton, each sorted ascending."""
-    return P.derived("neighbors", lambda: _skeleton(P.vertex_facets, P.dim)[0])
+    return P.derived("neighbors", lambda: _skeleton(P.vertex_facets, _facet_masks(P))[0])
 
 
-def _facet_lattice(P: SimplePolytope) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per facet i, its vertex mask and the mask of the facets j > i it meets."""
+def _facets_above(P: SimplePolytope) -> tuple[int, ...]:
+    """Per facet i, the mask of the facets j > i it meets."""
 
-    def build() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def build() -> tuple[int, ...]:
         around = [_bitmask(fs) for fs in P.vertex_facets]
-        above = [reduce(or_, map(around.__getitem__, f)) for f in P.facets]
-        return (
-            tuple(_bitmask(f) for f in P.facets),
-            tuple(bits >> (i + 1) << (i + 1) for i, bits in enumerate(above)),
-        )
+        meets = (reduce(or_, map(around.__getitem__, f)) for f in P.facets)
+        return tuple(bits >> (i + 1) << (i + 1) for i, bits in enumerate(meets))
 
-    return P.derived("facet_lattice", build)
+    return P.derived("facets_above", build)
 
 
 _Level = list[tuple[tuple[int, ...], int, int]]
@@ -345,7 +319,7 @@ def _walk(P: SimplePolytope, k: int) -> Iterator[_Level]:
     defining facet. The walk starts from the deepest level up to k that
     is stored on P, or from the polytope itself at codimension 0.
     """
-    masks, above = _facet_lattice(P)
+    masks, above = _facet_masks(P), _facets_above(P)
     start = max((j for j in range(1, k + 1) if ("level", j) in P._derived), default=0)
     top = [((), (1 << P.num_vertices) - 1, (1 << P.num_facets) - 1)]
     level = P._derived[("level", start)] if start else top
@@ -378,18 +352,31 @@ def face_indicator(P: SimplePolytope, face: Face) -> BitVector:
     return BitVector(P.num_vertices, face.vertex_mask)
 
 
+def _face_summary(P: SimplePolytope) -> tuple[tuple[int, bool], ...]:
+    """Per codimension 0..n, the face count and whether every face has an even vertex count.
+
+    One walk from the top, holding at most two levels at a time.
+    """
+    return P.derived(
+        "summary",
+        lambda: tuple(
+            (len(level), not any(_popcount(mask) & 1 for _, mask, _ in level))
+            for level in _walk(P, 0)
+        ),
+    )
+
+
 def fh_vectors(P: SimplePolytope) -> FHVectors:
     """Face counts by codimension and the h-vector.
 
-    f_k is the length of level k of the face walk, streamed so that at
-    most two levels are held at a time. h is recovered from
+    f is read from the face-walk summary. h is recovered from
     sum_i f_i (t-1)^(n-i) = sum_i h_i t^(n-i) with exact integer
     arithmetic; its symmetry is asserted.
     """
 
     def build() -> FHVectors:
         n = P.dim
-        f = tuple(len(level) for level in _walk(P, 0))
+        f = tuple(count for count, _ in _face_summary(P))
         h = tuple(
             sum(f[j] * comb(n - j, n - i) * (-1) ** (i - j) for j in range(i + 1))
             for i in range(n + 1)
@@ -407,17 +394,11 @@ def fh_vectors(P: SimplePolytope) -> FHVectors:
 def is_even(P: SimplePolytope) -> bool:
     """Whether every 2-face has an even vertex count.
 
-    In dimension 2 this is evenness of the vertex count itself and in
-    dimension 1 it holds by convention.
+    Read from the face-walk summary at codimension n - 2. In dimension 2
+    that level is the polygon itself, so this is evenness of the vertex
+    count; in dimension 1 it holds by convention.
     """
-    if P.dim == 1:
-        return True
-    if P.dim == 2:
-        return P.num_vertices % 2 == 0
-    return P.derived(
-        "even",
-        lambda: not any(_popcount(mask) & 1 for _, mask, _ in next(_walk(P, P.dim - 2))),
-    )
+    return P.dim == 1 or _face_summary(P)[P.dim - 2][1]
 
 
 def polytope_to_json(P: SimplePolytope) -> str:
@@ -430,7 +411,10 @@ def polytope_to_json(P: SimplePolytope) -> str:
 
 
 def polytope_from_json(source: str | Mapping) -> SimplePolytope:
-    """Parse the polytope JSON format (dim, facets, optional coords and name)."""
+    """Parse the polytope JSON format (dim, facets, optional coords and name).
+
+    Coordinates are rational strings or integers; ``validate`` reads them.
+    """
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -446,22 +430,11 @@ def polytope_from_json(source: str | Mapping) -> SimplePolytope:
     facets = data["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise InvalidInput("'facets' must be a list of lists of vertex indices")
-    coords = None
-    if data.get("coords") is not None:
-        raw = data["coords"]
-        if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
-            raise InvalidInput("'coords' must be a list of coordinate lists")
-        coords = []
-        for point in raw:
-            row = []
-            for x in point:
-                try:
-                    row.append(Fraction(x) if isinstance(x, (str, int)) else None)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise InvalidInput(f"bad rational {x!r}: {exc}") from exc
-                if row[-1] is None:
-                    raise InvalidInput(f"coordinate {x!r} is not a rational string")
-            coords.append(row)
+    coords = data.get("coords")
+    if coords is not None and (
+        not isinstance(coords, list) or not all(isinstance(p, list) for p in coords)
+    ):
+        raise InvalidInput("'coords' must be a list of coordinate lists")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise InvalidInput("'name' must be a string")

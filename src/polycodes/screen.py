@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .constructors import Recipe
-from .errors import Inapplicable, InvalidInput, TheoremViolation
+from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation
 from .facecodes import face_code
 from .gf2 import LinearCode, _doubly_even, is_self_dual, min_distance
 
@@ -71,7 +71,18 @@ def mallows_sloane(l: int) -> tuple[int, Callable[[LinearCode], bool]]:
     return bound, is_extremal
 
 
+# Verifying a witness tests each pair of its l/2 basis rows for orthogonality, twice.
+_WITNESS_PAIRS_BITS = 18
+
+
 def _verify_witness(recipe: Recipe, l: int, d: int, doubly_even: bool) -> ScreenRule:
+    pairs = (l // 2) * (l // 2 + 1) // 2
+    if pairs > 1 << _WITNESS_PAIRS_BITS:
+        raise BudgetExceeded(
+            f"verifying the witness {recipe.text()} needs {pairs} basis row pairs "
+            f"tested for orthogonality, over the budget of "
+            f"2^{_WITNESS_PAIRS_BITS} = {1 << _WITNESS_PAIRS_BITS}"
+        )
     P = recipe.build()
     code = face_code(P, (P.dim - 1) // 2).code
     problems = []
@@ -99,7 +110,11 @@ def _verify_witness(recipe: Recipe, l: int, d: int, doubly_even: bool) -> Screen
 
 
 def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
-    """Screen the parameters (length l, minimum distance d, doubly-evenness)."""
+    """Screen the parameters (length l, minimum distance d, doubly-evenness).
+
+    A witness with more than 2^18 basis row pairs to verify raises
+    BudgetExceeded before it is built.
+    """
     if not isinstance(l, int) or not isinstance(d, int):
         raise InvalidInput("length and minimum distance must be integers")
     if l < 2 or d < 2:

@@ -426,14 +426,29 @@ _RECIPE_LEAVES = st.sampled_from(
     ]
 )
 
+
+def _products(leaves: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.builds(lambda a, b: f"product ({a}) ({b})", leaves, leaves)
+
+
 recipe_texts = st.recursive(
     _RECIPE_LEAVES,
-    lambda inner: st.builds(lambda a, b: f"product ({a}) ({b})", inner, inner)
+    lambda inner: _products(inner)
     | st.builds(
         # Cutting needs dimension at least 2; the segment is the only 1-dim leaf.
         lambda a: f"vcut ({a}) 0",
         inner.filter(lambda t: t != "segment"),
     ),
+    max_leaves=3,
+)
+
+# Even polytopes. A product is even exactly when both factors are, and
+# cutting a vertex in dimension 3 or more makes triangles, so every even
+# draw of recipe_texts is a product of even leaves and of even polygons
+# made by cuts. The hexagon cut from the pentagon stands for the latter.
+even_recipe_texts = st.recursive(
+    st.sampled_from(["segment", "polygon 4", "cube 2", "cube 3", "vcut (polygon 5) 0"]),
+    _products,
     max_leaves=3,
 )
 

@@ -133,6 +133,37 @@ def test_info_reads_files(tmp_path, capsys):
     assert "dimension: 2" in out
 
 
+@pytest.mark.parametrize("text", ["cube 6", "prism 5", "dualcyclic57", "segment"])
+def test_info_walks_the_face_lattice_once(text, capsys, monkeypatch):
+    # f-vector and evenness come from one walk: one descent per codimension.
+    from polycodes import polytope
+
+    calls = []
+    descend = polytope._descend
+    monkeypatch.setattr(
+        polytope, "_descend", lambda *args: calls.append(1) or descend(*args)
+    )
+    rc, _ = run(capsys, ["info", text])
+    assert rc == 0
+    assert len(calls) == pc.parse_recipe(text).build().dim
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"dim": True, "facets": [[0], [1]]},
+        {"dim": 1, "facets": [[0], [1]], "coords": [[True], [False]]},
+    ],
+)
+def test_info_rejects_booleans_as_numbers(document, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(document))
+    assert main(["info", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # --------------------------------------------------------------------- code
 
 
@@ -285,6 +316,17 @@ def test_screen_witness_past_the_enumeration_cap(capsys):
     )
     assert rc == 0
     assert out.splitlines()[:2] == ["status: FeasibleWitness", "witness: prism 32"]
+
+
+def test_screen_refuses_a_witness_over_the_verification_budget(capsys):
+    rc = main(["screen", "--length", "8000", "--mindist", "4", "--doubly-even"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verifying the witness prism 4000 needs 8002000 basis row pairs "
+        "tested for orthogonality, over the budget of 2^18 = 262144\n"
+    )
 
 
 # -------------------------------------------------------------------- morse

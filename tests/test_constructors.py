@@ -269,6 +269,36 @@ def test_recipe_text_round_trips():
         assert check_incidence(built.dim, built.facets) == []
 
 
+def test_recipe_build_names_the_polytope_by_its_text():
+    for text in (
+        "segment",
+        "dualcyclic57",
+        "simplex 3",
+        "polygon 5",
+        "cube 3",
+        "prism 8",
+        "product (polygon 6) (cube 2)",
+        "vcut (product (segment) (prism 3)) 2",
+    ):
+        assert pc.parse_recipe(text).build().name == text
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        pc.Recipe("bogus"),
+        pc.Recipe("cube", ()),
+        pc.Recipe("cube", (3, 4)),
+        pc.Recipe("product", (3, 4)),
+        pc.Recipe("vcut", (pc.Recipe("cube", (3,)), pc.Recipe("cube", (3,)))),
+    ],
+    ids=str,
+)
+def test_recipe_build_rejects_malformed_trees(recipe):
+    with pytest.raises(pc.InvalidInput):
+        recipe.build()
+
+
 def test_recipe_build_matches_direct_calls():
     assert incidence_isomorphic(
         pc.parse_recipe("product (polygon 4) (segment)").build(), pc.cube(3)

@@ -16,7 +16,9 @@ from helpers import (
     all_codewords,
     closure_by_multisets,
     coloring_by_backtracking,
+    even_recipe_texts,
     faces_by_global_intersection,
+    faces_by_grouping,
     recipe_texts,
     reed_muller_check,
 )
@@ -277,6 +279,26 @@ def test_self_duality_report_rejects_bad_codim():
         pc.self_duality_report(pc.cube(3), 5)
 
 
+def assert_parity_window_matches_grouping(P: pc.SimplePolytope) -> None:
+    for k in range(P.dim + 1):
+        expected = tuple(
+            (c, all(f.num_vertices % 2 == 0 for f in faces_by_grouping(P, c)))
+            for c in range(k, min(2 * k, P.dim) + 1)
+        )
+        assert pc.self_duality_report(P, k).parity_by_codim == expected, k
+
+
+def test_parity_window_matches_grouping_on_corpus():
+    for entry in pc.corpus():
+        assert_parity_window_matches_grouping(entry.build())
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=recipe_texts)
+def test_parity_window_matches_grouping_on_random_recipes(text):
+    assert_parity_window_matches_grouping(pc.parse_recipe(text).build())
+
+
 @settings(max_examples=25, deadline=None)
 @given(text=recipe_texts)
 def test_self_duality_routes_agree_on_random_recipes(text):
@@ -330,7 +352,7 @@ def test_circ_closure_matches_multiset_oracle_on_corpus():
 
 
 @settings(max_examples=30, deadline=None)
-@given(text=recipe_texts)
+@given(text=even_recipe_texts)
 def test_circ_closure_matches_multiset_oracle_on_random_recipes(text):
     P = pc.parse_recipe(text).build()
     assume(pc.is_even(P))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import polycodes as pc
 
@@ -22,3 +24,16 @@ def test_package_all_is_the_union_of_the_module_all_lists():
     assert len(pc.__all__) == len(union)
     assert all(hasattr(pc, name) for name in pc.__all__)
     assert callable(pc.corpus)
+
+
+def test_only_the_polytope_module_walks_the_face_lattice():
+    # Face counts and parities have one owner: other modules read the
+    # walk's results, never the walk itself.
+    for path in sorted(Path(pc.__file__).parent.glob("*.py")):
+        if path.name == "polytope.py":
+            continue
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        names = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        assert not names & {"_walk", "_descend"}, path.name

@@ -413,6 +413,32 @@ def test_json_rejects_malformed_inputs():
         )
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"dim": True, "facets": [[0], [1]]},
+        {"dim": 1, "facets": [[0], [1]], "coords": [[True], [False]]},
+    ],
+)
+def test_json_rejects_booleans_as_numbers(document):
+    with pytest.raises(pc.InvalidPolytope):
+        pc.polytope_from_json(json.dumps(document))
+
+
+def test_validate_reads_every_rational_coordinate_form():
+    P = pc.validate(1, [[0], [1]], coords=[["-1/3"], [2]])
+    assert P.coords == ((Fraction(-1, 3),), (Fraction(2),))
+    with pytest.raises(pc.InvalidPolytope) as err:
+        pc.validate(1, [[0], [1]], coords=[[True], [0.5], ["1/0"]])
+    assert err.value.reasons == ["coords has 3 points for 2 vertices"]
+    with pytest.raises(pc.InvalidPolytope) as err:
+        pc.validate(1, [[0], [1]], coords=[[0.5], ["1/0"]])
+    assert err.value.reasons == [
+        "coords[0] entry 0.5 is not rational",
+        "coords[1] entry '1/0' is not rational",
+    ]
+
+
 @settings(deadline=None, max_examples=25)
 @given(recipe_texts)
 def test_json_roundtrip_over_random_recipes(text):

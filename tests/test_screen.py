@@ -164,6 +164,28 @@ def test_witness_claims_are_recomputed_not_trusted():
         _verify_witness(pc.parse_recipe("simplex 3"), 4, 2, False)
 
 
+def test_witness_verification_budget_is_checked_before_building(monkeypatch):
+    # Building stands in for everything after the guard, so no large
+    # polytope is ever built here.
+    class Built(Exception):
+        pass
+
+    def build(recipe):
+        raise Built(recipe.text())
+
+    monkeypatch.setattr(pc.Recipe, "build", build)
+    # 722 * 723 / 2 = 261,003 row pairs: within 2^18, so the witness is built.
+    with pytest.raises(Built, match="^prism 722$"):
+        pc.realizability_screen(1444, 4, False)
+    # 724 * 725 / 2 = 262,450 row pairs: refused.
+    with pytest.raises(
+        pc.BudgetExceeded,
+        match=r"^verifying the witness prism 724 needs 262450 basis row pairs "
+        r"tested for orthogonality, over the budget of 2\^18 = 262144$",
+    ):
+        pc.realizability_screen(1448, 4, True)
+
+
 # ------------------------------------------------------------ extremal bound
 
 

@@ -21,7 +21,6 @@ from .errors import (
     InvalidInput,
     TheoremViolation,
     Undefined,
-    Unrealized,
 )
 from .facecodes import code_matrix, colorability_report, face_code, self_duality_report
 from .gf2 import format_matrix, is_self_dual, min_distance
@@ -326,13 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolation as exc:
         print(f"theorem check failed: {exc}", file=sys.stderr)
         return 3
-    except (
-        InvalidInput,
-        Undefined,
-        Inapplicable,
-        Unrealized,
-        GenericityFailure,
-    ) as exc:
+    except (InvalidInput, Undefined, Inapplicable, GenericityFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

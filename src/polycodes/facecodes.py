@@ -273,13 +273,12 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
     routes must agree. A self-dual verdict in dimension >= 3 must also
     come with the all-ones vector in the code and 0 < 2k < n.
     """
-    if not 0 <= k <= P.dim:
-        raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
     n = P.dim
     fc = face_code(P, k)
     trace = is_self_dual(fc.code)
-    half = P.num_vertices % 2 == 0 and 2 * fc.code.dim == P.num_vertices
-    parity_rows = [(c, _face_summary(P)[c][1]) for c in range(k, min(2 * k, n) + 1)]
+    half = trace.half_dimension
+    summary = _face_summary(P, min(2 * k, n))
+    parity_rows = [(c, ok) for c, (_, ok) in enumerate(summary) if c >= k]
     parity_ok = all(ok for _, ok in parity_rows)
     if 2 * k > n:
         # The parity range is cut off at the vertices, whose count of 1 is odd.

@@ -503,7 +503,10 @@ def weight_enumerator(code: LinearCode) -> WeightEnumerator:
     MacWilliams transform.
     """
     if code.dim > ENUMERATION_CAP:
-        raise BudgetExceeded(f"dimension {code.dim} over the enumeration cap {ENUMERATION_CAP}")
+        raise BudgetExceeded(
+            f"walking 2^{code.dim} = {1 << code.dim} codewords is over the budget of "
+            f"2^{ENUMERATION_CAP} = {1 << ENUMERATION_CAP}"
+        )
     counts: dict[int, int] = {0: 1}
     for w in _nonzero_weights(code):
         counts[w] = counts.get(w, 0) + 1

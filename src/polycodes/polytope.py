@@ -11,9 +11,11 @@ Validation builds the facet masks once, reads the edge rule from them
 and keeps them for the face walk: the faces of codimension k are the
 nonzero ANDs of each face of codimension k - 1 with the facets of higher
 index than its defining ones, so each level comes out sorted by defining
-facets. One walk stores, per codimension, the face count and whether
-every face is even; the f-vector, evenness and the self-duality parity
-window read that summary.
+facets. The walk resumes from the deepest stored faces above the level
+it is asked for, and records per codimension, as it first reaches it,
+the face count and whether every face is even; the f-vector, evenness
+and the self-duality parity window read that summary only as deep as
+they need.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain, islice
 from math import comb
 from operator import and_, or_
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import InvalidInput, InvalidPolytope, TheoremViolation
 from .gf2 import BitVector, _bitmask, _ones, _popcount
@@ -311,23 +313,35 @@ def _descend(level: _Level, masks: Sequence[int], above: Sequence[int]) -> _Leve
     return out
 
 
-def _walk(P: SimplePolytope, k: int) -> Iterator[_Level]:
-    """Levels k, k + 1, ..., n of the face walk, each computed from the one before.
+def _level(P: SimplePolytope, k: int) -> _Level:
+    """Level k of the face walk, recording the summary of each level it reaches first.
 
     A level holds (defining facets, vertex mask, candidate facets) per
     face; the candidates are the facets of higher index that meet every
-    defining facet. The walk starts from the deepest level up to k that
-    is stored on P, or from the polytope itself at codimension 0.
+    defining facet, the AND of ``_facets_above`` over the defining ones.
+    The walk starts from the deepest faces up to codimension k stored on
+    P, or from the polytope itself at codimension 0. Per codimension the
+    summary holds the face count and whether every face has an even
+    vertex count; rows 0..j exist whenever the faces of codimension j are
+    stored, so the walk appends the row of each level past the summary.
     """
     masks, above = _facet_masks(P), _facets_above(P)
-    start = max((j for j in range(1, k + 1) if ("level", j) in P._derived), default=0)
-    top = [((), (1 << P.num_vertices) - 1, (1 << P.num_facets) - 1)]
-    level = P._derived[("level", start)] if start else top
-    for j in range(start, P.dim + 1):
-        if j >= k:
-            yield level
-        if j < P.dim:
+    start = max((j for j in range(1, k + 1) if ("faces", j) in P._derived), default=0)
+    if start:
+        level = [
+            (f.defining_facets, f.vertex_mask, reduce(and_, [above[i] for i in f.defining_facets]))
+            for f in P._derived[("faces", start)]
+        ]
+    else:
+        level = [((), (1 << P.num_vertices) - 1, (1 << P.num_facets) - 1)]
+    for j in range(start, k + 1):
+        if j > start:
             level = _descend(level, masks, above)
+        summary = P._derived.get("summary", ())
+        if j == len(summary):
+            row = (len(level), not any(_popcount(mask) & 1 for _, mask, _ in level))
+            P._derived["summary"] = (*summary, row)
+    return level
 
 
 def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
@@ -336,14 +350,14 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     In a simple polytope every codimension-k face is cut out by exactly
     k facets, and the face of k facets is their intersection whenever it
     is nonempty, so level k of the face walk lists them. Only the level
-    asked for is stored. Codimension 0 is the polytope itself with no
-    defining facets, codimension n has one face per vertex.
+    asked for is stored, and later walks resume from it. Codimension 0 is
+    the polytope itself with no defining facets, codimension n has one
+    face per vertex.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
-    level = P.derived(("level", k), lambda: next(_walk(P, k)))
     return P.derived(
-        ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask, _ in level)
+        ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask, _ in _level(P, k))
     )
 
 
@@ -352,18 +366,15 @@ def face_indicator(P: SimplePolytope, face: Face) -> BitVector:
     return BitVector(P.num_vertices, face.vertex_mask)
 
 
-def _face_summary(P: SimplePolytope) -> tuple[tuple[int, bool], ...]:
-    """Per codimension 0..n, the face count and whether every face has an even vertex count.
+def _face_summary(P: SimplePolytope, depth: int) -> tuple[tuple[int, bool], ...]:
+    """Per codimension 0..depth, the face count and whether every face has an even vertex count.
 
-    One walk from the top, holding at most two levels at a time.
+    Read from the summary the face walk records; a walk runs only when
+    the summary stops short of ``depth``.
     """
-    return P.derived(
-        "summary",
-        lambda: tuple(
-            (len(level), not any(_popcount(mask) & 1 for _, mask, _ in level))
-            for level in _walk(P, 0)
-        ),
-    )
+    if len(P._derived.get("summary", ())) <= depth:
+        _level(P, depth)
+    return P._derived["summary"][: depth + 1]
 
 
 def fh_vectors(P: SimplePolytope) -> FHVectors:
@@ -376,7 +387,7 @@ def fh_vectors(P: SimplePolytope) -> FHVectors:
 
     def build() -> FHVectors:
         n = P.dim
-        f = tuple(count for count, _ in _face_summary(P))
+        f = tuple(count for count, _ in _face_summary(P, n))
         h = tuple(
             sum(f[j] * comb(n - j, n - i) * (-1) ** (i - j) for j in range(i + 1))
             for i in range(n + 1)
@@ -398,7 +409,7 @@ def is_even(P: SimplePolytope) -> bool:
     that level is the polygon itself, so this is evenness of the vertex
     count; in dimension 1 it holds by convention.
     """
-    return P.dim == 1 or _face_summary(P)[P.dim - 2][1]
+    return P.dim == 1 or _face_summary(P, P.dim - 2)[-1][1]
 
 
 def polytope_to_json(P: SimplePolytope) -> str:
@@ -410,19 +421,16 @@ def polytope_to_json(P: SimplePolytope) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def polytope_from_json(source: str | Mapping) -> SimplePolytope:
+def polytope_from_json(source: str) -> SimplePolytope:
     """Parse the polytope JSON format (dim, facets, optional coords and name).
 
     Coordinates are rational strings or integers; ``validate`` reads them.
     """
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"not valid JSON: {exc}") from exc
-    else:
-        data = source
-    if not isinstance(data, Mapping):
+    try:
+        data = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
         raise InvalidInput("polytope JSON must be an object")
     if "dim" not in data or "facets" not in data:
         raise InvalidInput("polytope JSON needs 'dim' and 'facets'")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from .errors import InvalidInput, TheoremViolation
 from .facecodes import Coloring, colorability_report
-from .gf2 import _bitmask, _eliminate
+from .gf2 import BitVector, _eliminate
 from .polytope import SimplePolytope, fh_vectors
 
 __all__ = [
@@ -112,32 +112,25 @@ def lift_coloring(coloring: Coloring) -> VectorColoring:
 
 def vector_coloring_to_json(mu: VectorColoring) -> str:
     """Serialize with colors as bit strings, character j = coordinate j."""
-    payload = {
-        "r": mu.r,
-        "colors": [
-            "".join("1" if (c >> j) & 1 else "0" for j in range(mu.r))
-            for c in mu.colors
-        ],
-    }
+    payload = {"r": mu.r, "colors": [BitVector(mu.r, c).to01() for c in mu.colors]}
     return json.dumps(payload, indent=2) + "\n"
 
 
-def vector_coloring_from_json(source: str | Mapping[str, Any]) -> VectorColoring:
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"bad coloring JSON: {exc}") from exc
-    else:
-        data = source
-    if not isinstance(data, Mapping) or "r" not in data or "colors" not in data:
+def vector_coloring_from_json(source: str) -> VectorColoring:
+    try:
+        data = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"bad coloring JSON: {exc}") from exc
+    if not isinstance(data, dict) or "r" not in data or "colors" not in data:
         raise InvalidInput("coloring JSON needs the keys 'r' and 'colors'")
-    r = data["r"]
-    if not isinstance(r, int):
+    r, texts = data["r"], data["colors"]
+    if not isinstance(r, int) or isinstance(r, bool):
         raise InvalidInput("'r' must be an integer")
+    if not isinstance(texts, list):
+        raise InvalidInput("'colors' must be a list of bit strings")
     colors = []
-    for i, text in enumerate(data["colors"]):
+    for i, text in enumerate(texts):
         if not isinstance(text, str) or len(text) != r or set(text) - {"0", "1"}:
             raise InvalidInput(f"color {i} is not a length-{r} bit string")
-        colors.append(_bitmask(j for j, ch in enumerate(text) if ch == "1"))
+        colors.append(BitVector.from01(text).bits)
     return VectorColoring(r=r, colors=tuple(colors))

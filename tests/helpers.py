@@ -138,6 +138,16 @@ def faces_by_grouping(P: pc.SimplePolytope, k: int) -> tuple[pc.Face, ...]:
     )
 
 
+def count_descents(monkeypatch) -> list[int]:
+    """A list that grows by one on every level step of the face walk."""
+    from polycodes import polytope
+
+    calls: list[int] = []
+    descend = polytope._descend
+    monkeypatch.setattr(polytope, "_descend", lambda *args: calls.append(1) or descend(*args))
+    return calls
+
+
 def f_vector_by_grouping(P: pc.SimplePolytope) -> tuple[int, ...]:
     """f_k as the number of distinct k-subsets of the vertices' facet sets."""
     return tuple(len(faces_by_grouping(P, k)) for k in range(P.dim + 1))

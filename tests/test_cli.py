@@ -18,7 +18,7 @@ import polycodes.cli
 from polycodes.cli import main
 from polycodes.verify import CheckResult
 
-from helpers import heawood_torus_facets
+from helpers import count_descents, heawood_torus_facets
 
 CUBE3_MATRIX = (
     "101010",
@@ -136,16 +136,20 @@ def test_info_reads_files(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["cube 6", "prism 5", "dualcyclic57", "segment"])
 def test_info_walks_the_face_lattice_once(text, capsys, monkeypatch):
     # f-vector and evenness come from one walk: one descent per codimension.
-    from polycodes import polytope
-
-    calls = []
-    descend = polytope._descend
-    monkeypatch.setattr(
-        polytope, "_descend", lambda *args: calls.append(1) or descend(*args)
-    )
+    calls = count_descents(monkeypatch)
     rc, _ = run(capsys, ["info", text])
     assert rc == 0
     assert len(calls) == pc.parse_recipe(text).build().dim
+
+
+@pytest.mark.parametrize("k, descents", [(1, 2), (4, 8)])
+def test_selfdual_walks_down_to_twice_the_codimension(k, descents, capsys, monkeypatch):
+    # The code walks to codimension k; the parity window resumes from the
+    # stored faces down to 2k and walks no level twice.
+    calls = count_descents(monkeypatch)
+    rc, _ = run(capsys, ["selfdual", "cube 9", "-k", str(k)])
+    assert rc == 0
+    assert len(calls) == descents
 
 
 @pytest.mark.parametrize(

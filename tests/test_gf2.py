@@ -455,6 +455,16 @@ def test_doubly_even_basis_test_on_random_self_dual_codes():
     assert seen == {True, False}
 
 
+def test_weight_enumerator_refuses_over_the_budget_before_walking(monkeypatch):
+    monkeypatch.setattr(gf2, "_nonzero_weights", lambda code: pytest.fail("walked"))
+    code = pc.reduce([pc.BitVector.from_support(29, (i,)) for i in range(29)])
+    with pytest.raises(
+        pc.BudgetExceeded,
+        match=r"^walking 2\^29 = 536870912 codewords is over the budget of 2\^28 = 268435456$",
+    ):
+        pc.weight_enumerator(code)
+
+
 def test_weight_enumerator_macwilliams_invariance(monkeypatch):
     assert pc.weight_enumerator(ext_hamming()).counts == {0: 1, 4: 14, 8: 1}
     rm25 = pc.weight_enumerator(pc.reed_muller(2, 5))

@@ -5,15 +5,18 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycodes as pc
 
 from helpers import (
     check_incidence,
+    count_descents,
     edges,
     f_vector_by_grouping,
     faces_by_global_intersection,
@@ -181,8 +184,9 @@ def test_faces_match_global_intersection_oracle(recipe):
 
 
 def assert_walk_matches_grouping(text: str) -> None:
-    """The face walk against the old grouping on every k, walking up from
-    stored levels on one instance and from the top on fresh ones."""
+    """The face walk against the old grouping on every k, from the top on
+    fresh instances and, on one instance, resuming from the faces stored
+    one codimension up."""
     P = pc.parse_recipe(text).build()
     expected = [faces_by_grouping(P, k) for k in range(P.dim + 1)]
     for k in reversed(range(P.dim + 1)):
@@ -211,6 +215,47 @@ def test_face_walk_matches_grouping_on_larger_inputs(text):
 @given(recipe_texts)
 def test_face_walk_matches_grouping_on_random_recipes(text):
     assert_walk_matches_grouping(text)
+
+
+def assert_requests_commute(text: str, seed: int) -> None:
+    """Faces, f-vector, evenness and parity windows asked in a seeded order
+    on one instance, against the grouping: whichever request comes first
+    walks, and the later ones resume from or read what it stored."""
+    P = pc.parse_recipe(text).build()
+    n = P.dim
+    expected = [faces_by_grouping(P, k) for k in range(n + 1)]
+    even = [all(f.num_vertices % 2 == 0 for f in faces) for faces in expected]
+    requests = [("faces", k) for k in range(n + 1)] + [("window", k) for k in range(n + 1)]
+    requests += [("fh", n), ("even", n)]
+    random.Random(seed).shuffle(requests)
+    for kind, k in requests:
+        if kind == "faces":
+            assert pc.faces_of_codim(P, k) == expected[k]
+        elif kind == "window":
+            window = tuple((c, even[c]) for c in range(k, min(2 * k, n) + 1))
+            assert pc.self_duality_report(P, k).parity_by_codim == window
+        elif kind == "fh":
+            assert pc.fh_vectors(P).f == tuple(map(len, expected))
+        else:
+            assert pc.is_even(P) == (n == 1 or even[n - 2])
+
+
+def test_requests_commute_on_corpus():
+    for entry in pc.corpus():
+        for seed in range(3):
+            assert_requests_commute(entry.label, seed)
+
+
+@settings(deadline=None, max_examples=25)
+@given(recipe_texts, st.integers(0, 2**32))
+def test_requests_commute_on_random_recipes(text, seed):
+    assert_requests_commute(text, seed)
+
+
+def test_is_even_walks_only_to_the_two_faces(monkeypatch):
+    calls = count_descents(monkeypatch)
+    assert pc.is_even(pc.cube(6))
+    assert len(calls) == 4
 
 
 def test_faces_of_codim_rejects_bad_codim():

@@ -143,3 +143,7 @@ def test_vector_coloring_json_rejects_malformed():
         pc.vector_coloring_from_json('{"r": 3, "colors": ["000"]}')
     with pytest.raises(pc.InvalidInput):
         pc.vector_coloring_from_json('{"r": "3", "colors": []}')
+    with pytest.raises(pc.InvalidInput):
+        pc.vector_coloring_from_json('{"r": 3, "colors": 5}')
+    with pytest.raises(pc.InvalidInput):
+        pc.vector_coloring_from_json('{"r": true, "colors": ["1"]}')

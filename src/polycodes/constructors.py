@@ -6,9 +6,9 @@ exact rational coordinates; the combinatorics never depends on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InvalidInput
 from .polytope import SimplePolytope, validate, vertex_neighbors
 
@@ -28,7 +28,7 @@ __all__ = [
 
 def _rename(P: SimplePolytope, name: str) -> SimplePolytope:
     # The copy differs only in its name, so everything derived so far still holds.
-    Q = replace(P, name=name)
+    Q = P._replace(name=name)
     Q._derived.update(P._derived)
     return Q
 
@@ -191,12 +191,11 @@ def dual_cyclic_5_7() -> SimplePolytope:
     return validate(5, facets, name="dualcyclic57")
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Record):
     """Expression tree over the constructors, with a parsable text form."""
 
     op: str
-    args: tuple = field(default=())
+    args: tuple = ()
 
     def text(self) -> str:
         parts = [self.op]

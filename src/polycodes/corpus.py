@@ -7,9 +7,9 @@ ones, so the verify suites exercise every branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .constructors import Recipe, parse_recipe
 from .polytope import SimplePolytope
 
@@ -47,8 +47,7 @@ _RECIPES = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     label: str
     recipe: Recipe
 

@@ -8,8 +8,7 @@ TheoremViolation when the routes disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import Inapplicable, InvalidInput, TheoremViolation
 from .gf2 import (
     BitVector,
@@ -54,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FaceCode:
+class FaceCode(Record):
     """Code of one codimension, with its faces in generator order."""
 
     codim: int
@@ -84,8 +82,7 @@ def code_matrix(P: SimplePolytope, k: int) -> list[BitVector]:
     return [BitVector(len(faces), row) for row in rows]
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Facet coloring; colors[i] is the color of facet i."""
 
     num_colors: int
@@ -158,8 +155,7 @@ def _perfect_cover_partition(P: SimplePolytope, coloring: Coloring | None) -> bo
     return True
 
 
-@dataclass(frozen=True)
-class ColorabilityReport:
+class ColorabilityReport(Record):
     colorable: bool
     coloring: Coloring | None
     degenerate_dimension: bool
@@ -204,16 +200,14 @@ def colorability_report(P: SimplePolytope) -> ColorabilityReport:
     )
 
 
-@dataclass(frozen=True)
-class DimensionLawRow:
+class DimensionLawRow(Record):
     codim: int
     dim: int
     partial_h_sum: int
     self_dual: bool
 
 
-@dataclass(frozen=True)
-class DimensionLaw:
+class DimensionLaw(Record):
     rows: tuple[DimensionLawRow, ...]
     self_dual_codims: tuple[int, ...]
 
@@ -253,8 +247,7 @@ def dimension_law_check(P: SimplePolytope) -> DimensionLaw:
     return DimensionLaw(rows=tuple(rows), self_dual_codims=self_dual_codims)
 
 
-@dataclass(frozen=True)
-class SelfDualReport:
+class SelfDualReport(Record):
     codim: int
     self_dual: bool
     half_dimension: bool
@@ -353,8 +346,7 @@ def min_distance_bound_check(P: SimplePolytope) -> tuple[int, int]:
     return bound, exact
 
 
-@dataclass(frozen=True)
-class DoublyEvenReport:
+class DoublyEvenReport(Record):
     codim: int
     doubly_even: bool
     face_sizes_divisible_by_4: bool

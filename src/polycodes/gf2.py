@@ -9,12 +9,12 @@ comparison; ``BitVector`` is the validated public wrapper at the edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import BudgetExceeded, InvalidInput, TheoremViolation, Undefined
 
 __all__ = [
@@ -61,8 +61,7 @@ def _ones(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True)
-class BitVector:
+class BitVector(Record):
     """Vector in GF(2)^length; coordinate i is bit i of ``bits``."""
 
     length: int
@@ -152,8 +151,7 @@ def inner(u: BitVector, v: BitVector) -> int:
     return _popcount(u.bits & v.bits) & 1
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Record):
     """Subspace of GF(2)^length, kept as its canonical basis.
 
     ``rows`` is the reduced echelon basis as ints: sorted by pivot (the
@@ -292,8 +290,7 @@ def dual_code(code: LinearCode) -> LinearCode:
     return dual
 
 
-@dataclass(frozen=True)
-class SelfDualityTrace:
+class SelfDualityTrace(Record):
     """Outcome of the direct self-duality test plus the two pairwise criteria."""
 
     self_dual: bool          # C equals its dual, the defining test
@@ -460,8 +457,7 @@ def min_distance(code: LinearCode) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
+class WeightEnumerator(Record):
     counts: dict[int, int]
     doubly_even: bool
 

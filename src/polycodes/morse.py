@@ -12,10 +12,10 @@ values only for the objective that is kept.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import Record
 from .errors import GenericityFailure, InvalidInput, TheoremViolation, Unrealized
 from .facecodes import face_code
 from .gf2 import _ones, _span
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeightFunction:
+class HeightFunction(Record):
     """Linear objective and its value at every vertex; values must be distinct."""
 
     objective: tuple[Fraction, ...]

@@ -21,7 +21,6 @@ they need.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, islice
@@ -29,6 +28,7 @@ from math import comb
 from operator import and_, or_
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+from ._record import Record
 from .errors import InvalidInput, InvalidPolytope, TheoremViolation
 from .gf2 import BitVector, _bitmask, _ones, _popcount
 
@@ -46,8 +46,7 @@ __all__ = [
     "vertex_neighbors",
 ]
 
-@dataclass(frozen=True)
-class SimplePolytope:
+class SimplePolytope(Record):
     """Validated vertex-facet incidence of a simple n-polytope.
 
     Derived data (neighbors, faces, f- and h-vectors, face codes) is
@@ -61,7 +60,9 @@ class SimplePolytope:
     vertex_facets: tuple[frozenset[int], ...]
     coords: tuple[tuple[Fraction, ...], ...] | None = None
     name: str | None = None
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_derived", {})
 
     @property
     def num_facets(self) -> int:
@@ -77,8 +78,7 @@ class SimplePolytope:
         return self._derived[key]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """Face of codimension ``codim``, identified by its defining facets.
 
     Its vertices are the set bits of ``vertex_mask`` (bit v is vertex v).
@@ -99,8 +99,7 @@ class Face:
         return _popcount(self.vertex_mask)
 
 
-@dataclass(frozen=True)
-class FHVectors:
+class FHVectors(Record):
     """Face counts by codimension (f[0] = 1 for the whole polytope) and the h-vector."""
 
     f: tuple[int, ...]
@@ -137,12 +136,19 @@ def _normalize_coords(
     if len(coords) != num_vertices:
         return (), [f"coords has {len(coords)} points for {num_vertices} vertices"]
     points, violations = [], []
+    parsed: dict[str, Fraction] = {}  # by string only: keyed by value, True == 1 would pass
+
+    def rational(x: object) -> Fraction:
+        if type(x) is not str:
+            return _rational(x)
+        return parsed[x] if x in parsed else parsed.setdefault(x, _rational(x))
+
     for i, point in enumerate(coords):
         if len(point) != dim:
             violations.append(f"coords[{i}] has {len(point)} entries, expected {dim}")
             continue
         try:
-            points.append(tuple(map(_rational, point)))
+            points.append(tuple(map(rational, point)))
         except InvalidInput as exc:
             violations.append(f"coords[{i}] {exc}")
     return tuple(points), violations

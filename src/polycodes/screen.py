@@ -9,9 +9,9 @@ here are necessary conditions, not a decision procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import Record
 from .constructors import Recipe
 from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation
 from .facecodes import face_code
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScreenRule:
+class ScreenRule(Record):
     """One fired rule: an id, the statement relied on, and the numbers."""
 
     rule: str
@@ -34,8 +33,7 @@ class ScreenRule:
     instantiation: str
 
 
-@dataclass(frozen=True)
-class ScreenVerdict:
+class ScreenVerdict(Record):
     """Screen outcome: Infeasible with a rule trace, a verified witness, or Unknown."""
 
     status: str

@@ -9,9 +9,9 @@ materialized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record
 from .errors import InvalidInput, TheoremViolation
 from .facecodes import Coloring, colorability_report
 from .gf2 import BitVector, _eliminate
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VectorColoring:
+class VectorColoring(Record):
     """colors[i] is the nonzero vector on facet i, packed with bit j = coordinate j."""
 
     r: int
@@ -73,8 +72,7 @@ def component_count(P: SimplePolytope, mu: VectorColoring) -> int:
     return 2 ** (mu.r - _rank(mu.r, mu.colors))
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(Record):
     admits: bool
     fixed_points: int | None
     betti: tuple[int, ...] | None

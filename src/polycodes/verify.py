@@ -8,9 +8,9 @@ that failed without tripping an internal assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .corpus import corpus
 from .errors import InvalidInput
 from .facecodes import (
@@ -51,8 +51,7 @@ _SCREEN_CASES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     suite: str
     subject: str
     check: str

@@ -1,10 +1,12 @@
-"""The package namespace re-exports exactly the modules' public names."""
+"""The package namespace re-exports exactly the modules' public names; imports stay cheap."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import polycodes as pc
@@ -37,3 +39,26 @@ def test_only_the_polytope_module_walks_the_face_lattice():
         names = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
         names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
         assert not names & {"_level", "_descend"}, path.name
+
+
+def test_no_module_imports_dataclasses():
+    # Records derive from _record.Record: dataclasses pulls in inspect, ast
+    # and tokenize, and every CLI process would pay for that import.
+    for path in sorted(Path(pc.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        modules = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+        assert "dataclasses" not in modules, path.name
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter without site, environment or bytecode writes, with src added.
+    src = str(Path(pc.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import polycodes.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"

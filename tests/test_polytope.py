@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -341,7 +340,7 @@ def test_neighbors_match_pair_scan_oracle_on_random_recipes(text):
     oracle = neighbors_by_pair_scan(P)
     assert pc.vertex_neighbors(P) == oracle
     # A copy that carries no derived data recomputes the same neighbors.
-    assert pc.vertex_neighbors(dataclasses.replace(P, name="copy")) == oracle
+    assert pc.vertex_neighbors(P._replace(name="copy")) == oracle
 
 
 def test_derived_data_is_not_part_of_equality_or_hash():
@@ -482,6 +481,22 @@ def test_validate_reads_every_rational_coordinate_form():
         "coords[0] entry 0.5 is not rational",
         "coords[1] entry '1/0' is not rational",
     ]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "x"], ids=repr)
+def test_json_coordinates_repeating_a_string_still_reject_lookalikes(bad):
+    # "1" and 1 are read before each lookalike; a bool, a float or a bad
+    # string must not pass as either, and each bad entry is reported.
+    square = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    coords = [["1", 1], ["1", bad], [bad, "1"], ["0", "1"]]
+    with pytest.raises(pc.InvalidPolytope) as err:
+        pc.polytope_from_json(json.dumps({"dim": 2, "facets": square, "coords": coords}))
+    assert err.value.reasons == [
+        f"coords[1] entry {bad!r} is not rational",
+        f"coords[2] entry {bad!r} is not rational",
+    ]
+    good = pc.polytope_from_json(json.dumps({"dim": 2, "facets": square, "coords": [["1", "1"]] * 4}))
+    assert good.coords == ((Fraction(1), Fraction(1)),) * 4
 
 
 @settings(deadline=None, max_examples=25)

@@ -325,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolation as exc:
         print(f"theorem check failed: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInput, Undefined, Inapplicable, GenericityFailure) as exc:
+    except (InvalidInput, Undefined, Inapplicable, GenericityFailure, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,14 +5,15 @@ vertex is its index. Index histograms reproduce the h-vector, and the
 lowest-vertex faces picked here give independent face-code vectors.
 All arithmetic is exact, so genericity is a sharp yes or no: objectives
 are drawn and tested on integers, each point scaled once by the common
-denominator of its own coordinates, and heights become ``Fraction``
-values only for the objective that is kept.
+denominator of its own coordinates. The kept heights are ``Fraction``
+values, sorted once; everything else compares the vertex ranks.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from ._record import Record
@@ -22,7 +23,7 @@ from .gf2 import _ones, _span
 from .polytope import (
     Face,
     SimplePolytope,
-    faces_of_codim,
+    _facet_masks,
     fh_vectors,
     is_even,
     vertex_neighbors,
@@ -39,14 +40,19 @@ __all__ = [
 
 
 class HeightFunction(Record):
-    """Linear objective and its value at every vertex; values must be distinct."""
+    """Linear objective and its distinct vertex values; ``rank[v]`` is v's place in height order."""
 
     objective: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.values)) != len(self.values):
+        order = sorted(range(len(self.values)), key=self.values.__getitem__)
+        if any(self.values[u] == self.values[w] for u, w in zip(order, order[1:])):
             raise GenericityFailure("height values collide; the objective is not generic")
+        rank = [0] * len(order)
+        for r, v in enumerate(order):
+            rank[v] = r
+        object.__setattr__(self, "rank", tuple(rank))
 
 
 def height_from_objective(
@@ -108,10 +114,10 @@ def _check_height(P: SimplePolytope, phi: HeightFunction) -> None:
 def vertex_indices(P: SimplePolytope, phi: HeightFunction) -> tuple[int, ...]:
     """Index of each vertex: how many of its neighbors sit below it."""
     _check_height(P, phi)
-    neighbors = vertex_neighbors(P)
+    rank = phi.rank
     return tuple(
-        sum(1 for w in neighbors[v] if phi.values[w] < phi.values[v])
-        for v in range(P.num_vertices)
+        sum(1 for w in neighbors if rank[w] < rank[v])
+        for v, neighbors in enumerate(vertex_neighbors(P))
     )
 
 
@@ -133,35 +139,26 @@ def extract_basis(
     """Pick one codimension-k face per vertex of index at most k.
 
     Each selected vertex contributes the face spanned by the
-    lexicographically smallest (n-k)-subset of its upward edges. The
-    resulting indicators are asserted independent; on even polytopes
-    they must additionally span the whole codimension-k code. The
-    selected vertex is always the unique lowest vertex of its face,
-    which is what forces independence.
+    lexicographically smallest (n-k)-subset of its upward edges, cut out
+    of the facet masks. The resulting indicators are asserted independent;
+    on even polytopes they must additionally span the whole codimension-k
+    code. The selected vertex is always the unique lowest vertex of its
+    face, which is what forces independence.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
-    indices = vertex_indices(P, phi)
-    faces_by_def = {f.defining_facets: f for f in faces_of_codim(P, k)}
-    neighbors = vertex_neighbors(P)
-    n = P.dim
+    _check_height(P, phi)
+    rank, n, vf, masks = phi.rank, P.dim, P.vertex_facets, _facet_masks(P)
     selected: list[tuple[int, Face]] = []
-    for v in range(P.num_vertices):
-        if indices[v] > k:
+    for v, neighbors in enumerate(vertex_neighbors(P)):
+        up = [w for w in neighbors if rank[w] > rank[v]]
+        if n - len(up) > k:
             continue
-        up = sorted(w for w in neighbors[v] if phi.values[w] > phi.values[v])
-        fv = P.vertex_facets[v]
-        dropped = set()
-        for w in up[: n - k]:
-            (facet,) = fv - P.vertex_facets[w]
-            dropped.add(facet)
-        face = faces_by_def[tuple(sorted(fv - dropped))]
-        bottom = min(_ones(face.vertex_mask), key=lambda u: phi.values[u])
-        if bottom != v:
-            raise TheoremViolation(
-                f"vertex {v} is not the lowest vertex of its selected face"
-            )
-        selected.append((v, face))
+        defining = tuple(sorted(vf[v].intersection(*(vf[w] for w in up[: n - k]))))
+        mask = reduce(int.__and__, map(masks.__getitem__, defining), (1 << P.num_vertices) - 1)
+        if min(_ones(mask), key=rank.__getitem__) != v:
+            raise TheoremViolation(f"vertex {v} is not the lowest vertex of its selected face")
+        selected.append((v, Face(k, defining, mask)))
     span = _span(P.num_vertices, [f.vertex_mask for _, f in selected])
     if span.dim != len(selected):
         raise TheoremViolation("selected face indicators are linearly dependent")

@@ -21,6 +21,7 @@ they need.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, islice
@@ -118,11 +119,17 @@ def _normalize_facets(facets: Iterable[Iterable[int]]) -> tuple[frozenset[int], 
 
 
 def _rational(x: object) -> Fraction:
-    """x as a Fraction; only a Fraction, an int that is not a bool, or a rational string is one."""
+    """x as a Fraction; only a Fraction, an int that is not a bool, or a rational string is one.
+
+    A string's decimal exponent is held to Python's int-string digit limit, as its digits are.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
+            exponent = int(x.lower().partition("e")[2] or 0) if isinstance(x, str) else 0
+            if abs(exponent) > sys.int_info.default_max_str_digits:  # Fraction builds 10**exponent
+                raise ValueError
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
@@ -434,7 +441,7 @@ def polytope_from_json(source: str) -> SimplePolytope:
     """
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInput("polytope JSON must be an object")

@@ -117,7 +117,7 @@ def vector_coloring_to_json(mu: VectorColoring) -> str:
 def vector_coloring_from_json(source: str) -> VectorColoring:
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"bad coloring JSON: {exc}") from exc
     if not isinstance(data, dict) or "r" not in data or "colors" not in data:
         raise InvalidInput("coloring JSON needs the keys 'r' and 'colors'")

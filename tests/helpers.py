@@ -4,7 +4,9 @@ Oracles here deliberately avoid the library's own algorithms: spans are
 enumerated by subset XOR, eliminations probe every pivot row, h-vectors
 come from literal polynomial multiplication, faces from global subset
 intersections and from grouping vertices by the subsets of their facet
-sets, heights from Fraction sums, edge neighbors from a scan of all
+sets, heights from Fraction sums, Morse indices and selections from
+Fraction comparisons with each face looked up among all faces of its
+codimension, edge neighbors from a scan of all
 vertex pairs, facet colorings from a backtracking search over facets,
 incidence isomorphism from a search over facet bijections and the
 facet-product closure from every k-multiset of facets. Frozen golden
@@ -166,6 +168,40 @@ def generic_height_by_fractions(P: pc.SimplePolytope, seed: int) -> pc.HeightFun
         except pc.GenericityFailure:
             bound *= 2
     raise pc.GenericityFailure("no generic objective found in 100 draws")
+
+
+def vertex_indices_by_fractions(P: pc.SimplePolytope, phi: pc.HeightFunction) -> tuple[int, ...]:
+    """How many neighbors of each vertex sit below it, comparing Fraction heights.
+    This was the library's route before heights were ranked once."""
+    neighbors = pc.vertex_neighbors(P)
+    return tuple(
+        sum(1 for w in neighbors[v] if phi.values[w] < phi.values[v])
+        for v in range(P.num_vertices)
+    )
+
+
+def extract_basis_by_lookup(
+    P: pc.SimplePolytope, phi: pc.HeightFunction, k: int
+) -> list[tuple[int, pc.Face]]:
+    """extract_basis's selection with Fraction comparisons, each picked face
+    looked up by its defining facets among all faces of codimension k, and
+    none of the theorem checks. This was the library's route before faces
+    were cut out of the facet masks."""
+    indices = vertex_indices_by_fractions(P, phi)
+    faces_by_def = {f.defining_facets: f for f in pc.faces_of_codim(P, k)}
+    neighbors = pc.vertex_neighbors(P)
+    selected = []
+    for v in range(P.num_vertices):
+        if indices[v] > k:
+            continue
+        up = sorted(w for w in neighbors[v] if phi.values[w] > phi.values[v])
+        fv = P.vertex_facets[v]
+        dropped = set()
+        for w in up[: P.dim - k]:
+            (facet,) = fv - P.vertex_facets[w]
+            dropped.add(facet)
+        selected.append((v, faces_by_def[tuple(sorted(fv - dropped))]))
+    return selected
 
 
 def heawood_torus_facets() -> list[list[int]]:

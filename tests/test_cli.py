@@ -426,6 +426,38 @@ def test_invalid_usage_exits_1(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_unreadable_input_exits_1(tmp_path, capsys, monkeypatch):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "\xe9t\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * (sys.getrecursionlimit() + 1))
+    cases = [
+        ["info", str(tmp_path)],  # a directory
+        ["gen", "cube 3", "-o", str(tmp_path / "missing" / "x.json")],
+        ["info", str(not_utf8)],
+        ["info", "-"],
+        ["info", str(deep)],
+    ]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    for argv in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_huge_coordinate_exponent_exits_1_at_once(tmp_path):
+    # Fraction("1e99999999") would build 10**99999999 and not come back.
+    path = tmp_path / "square.json"
+    coords = [["1e99999999", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+    path.write_text(json.dumps({"dim": 2, "facets": [[0, 1], [1, 2], [2, 3], [3, 0]], "coords": coords}))
+    proc = subprocess.run(
+        [*CLI, "info", str(path)], capture_output=True, text=True, env=cli_env(), timeout=10
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: coords[0] entry '1e99999999' is not rational\n"
+
+
 def test_theorem_violation_exits_3(capsys, monkeypatch):
     def boom(args):
         raise pc.TheoremViolation("forced for the exit-code test")

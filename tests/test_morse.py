@@ -9,7 +9,21 @@ import pytest
 
 import polycodes as pc
 
-from helpers import generic_height_by_fractions
+from helpers import (
+    extract_basis_by_lookup,
+    generic_height_by_fractions,
+    vertex_indices_by_fractions,
+)
+
+
+def assert_matches_the_fraction_route(P: pc.SimplePolytope, seed: int) -> None:
+    """The integer draw, the ranked indices and every k's cut-out faces equal
+    the Fraction-compared references."""
+    phi = pc.generic_height(P, seed)
+    assert phi == generic_height_by_fractions(P, seed)
+    assert pc.vertex_indices(P, phi) == vertex_indices_by_fractions(P, phi)
+    for k in range(P.dim + 1):
+        assert pc.extract_basis(P, phi, k) == extract_basis_by_lookup(P, phi, k)
 
 
 def test_cube3_binary_objective():
@@ -59,6 +73,25 @@ def test_degenerate_objective_fails_genericity():
     # The all-zero objective collapses every height to 0.
     with pytest.raises(pc.GenericityFailure):
         pc.height_from_objective(pc.cube(3), (0, 0, 0))
+    # Equal values apart in vertex order meet once the values are sorted.
+    with pytest.raises(pc.GenericityFailure):
+        pc.HeightFunction((Fraction(1),), (Fraction(0), Fraction(1), Fraction(0)))
+
+
+def test_rank_sorts_the_values():
+    product = pc.parse_recipe("product (polygon 5) (polygon 7)").build()
+    cases = [
+        (pc.polygon(5), (Fraction(1, 3), Fraction(1, 7))),
+        (pc.polygon(5), (Fraction(-2, 3), Fraction(5, 7))),
+        (pc.cube(3), (-4, -2, -1)),
+        (product, (Fraction(-1, 2), 3, Fraction(7, 5), -2)),
+    ]
+    heights = [pc.height_from_objective(P, obj) for P, obj in cases]
+    heights += [pc.generic_height(product, seed) for seed in range(5)]
+    for phi in heights:
+        assert sorted(phi.rank) == list(range(len(phi.values)))
+        by_rank = sorted(range(len(phi.values)), key=phi.rank.__getitem__)
+        assert [phi.values[v] for v in by_rank] == sorted(phi.values)
 
 
 def test_constant_coordinate_realization_fails_genericity():
@@ -95,13 +128,12 @@ def test_integer_draws_match_the_fraction_route_on_the_corpus():
         if P.coords is None:
             continue
         for seed in range(5):
-            assert pc.generic_height(P, seed) == generic_height_by_fractions(P, seed)
+            assert_matches_the_fraction_route(P, seed)
 
 
 def test_integer_draws_match_the_fraction_route_after_retries():
     # At seed 3 the 8-cube takes 8 draws: seven collide and double the bound.
-    P = pc.cube(8)
-    assert pc.generic_height(P, seed=3) == generic_height_by_fractions(P, 3)
+    assert_matches_the_fraction_route(pc.cube(8), 3)
 
 
 def test_integer_draws_match_the_fraction_route_on_mixed_denominators():
@@ -110,7 +142,7 @@ def test_integer_draws_match_the_fraction_route_on_mixed_denominators():
     P = pc.parse_recipe("product (polygon 5) (polygon 7)").build()
     assert len({math.lcm(*(c.denominator for c in point)) for point in P.coords}) > 1
     for seed in range(5):
-        assert pc.generic_height(P, seed) == generic_height_by_fractions(P, seed)
+        assert_matches_the_fraction_route(P, seed)
 
 
 # ------------------------------------------------------------ basis extract
@@ -184,5 +216,6 @@ def test_extract_basis_rejects_bad_codim():
 def test_height_function_length_checked():
     P = pc.cube(3)
     other = pc.height_from_objective(pc.cube(2), (1, 2))
-    with pytest.raises(pc.InvalidInput):
-        pc.vertex_indices(P, other)
+    for call in (pc.vertex_indices, pc.index_histogram, lambda P, phi: pc.extract_basis(P, phi, 1)):
+        with pytest.raises(pc.InvalidInput):
+            call(P, other)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -481,6 +482,21 @@ def test_validate_reads_every_rational_coordinate_form():
         "coords[0] entry 0.5 is not rational",
         "coords[1] entry '1/0' is not rational",
     ]
+    # A decimal exponent is held to the int-string digit limit, as digits are.
+    limit = sys.int_info.default_max_str_digits
+    P = pc.validate(1, [[0], [1]], coords=[[f"1e{limit}"], [f"1E-{limit}"]])
+    assert P.coords == ((Fraction(10**limit),), (Fraction(1, 10**limit),))
+    with pytest.raises(pc.InvalidPolytope) as err:
+        pc.validate(1, [[0], [1]], coords=[[f"1e{limit + 1}"], [f"-2.5e-{limit + 1}"]])
+    assert err.value.reasons == [
+        f"coords[0] entry '1e{limit + 1}' is not rational",
+        f"coords[1] entry '-2.5e-{limit + 1}' is not rational",
+    ]
+
+
+def test_json_nested_past_the_recursion_limit_is_invalid_input():
+    with pytest.raises(pc.InvalidInput, match="not valid JSON"):
+        pc.polytope_from_json("[" * (sys.getrecursionlimit() + 1))
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, "x"], ids=repr)

@@ -160,6 +160,17 @@ def test_replace_gives_a_polytope_a_fresh_derived_store():
     assert P._replace() == P
 
 
+def test_height_rank_takes_no_part_in_equality_hash_or_repr():
+    phi = pc.generic_height(pc.prism(6), 1)
+    other = pc.HeightFunction(phi.objective, phi.values)
+    object.__setattr__(other, "rank", phi.rank[::-1])
+    assert "rank" not in pc.HeightFunction._fields
+    assert other == phi and hash(other) == hash(phi) and repr(other) == repr(phi)
+    assert "rank" not in repr(phi)
+    flipped = phi._replace(values=tuple(-x for x in phi.values))
+    assert flipped.rank == tuple(len(phi.values) - 1 - r for r in phi.rank)
+
+
 @pytest.mark.parametrize(
     "make, error",
     [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import polycodes as pc
@@ -135,6 +137,8 @@ def test_vector_coloring_json_bit_convention():
 def test_vector_coloring_json_rejects_malformed():
     with pytest.raises(pc.InvalidInput):
         pc.vector_coloring_from_json("not json")
+    with pytest.raises(pc.InvalidInput):
+        pc.vector_coloring_from_json("[" * (sys.getrecursionlimit() + 1))
     with pytest.raises(pc.InvalidInput):
         pc.vector_coloring_from_json('{"r": 3}')
     with pytest.raises(pc.InvalidInput):

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .facecodes import code_matrix, colorability_report, face_code, self_duality_report
 from .gf2 import format_matrix, is_self_dual, min_distance
-from .morse import extract_basis, generic_height, index_histogram, vertex_indices
+from .morse import _histogram, extract_basis, generic_height, vertex_indices
 from .polytope import (
     SimplePolytope,
     fh_vectors,
@@ -205,7 +205,7 @@ def _cmd_morse(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     phi = generic_height(P, args.seed)
     indices = vertex_indices(P, phi)
-    histogram = index_histogram(P, phi)
+    histogram = _histogram(P, indices)
     basis = extract_basis(P, phi, args.k)
     payload = {
         "seed": args.seed,

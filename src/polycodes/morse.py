@@ -123,10 +123,12 @@ def vertex_indices(P: SimplePolytope, phi: HeightFunction) -> tuple[int, ...]:
 
 def index_histogram(P: SimplePolytope, phi: HeightFunction) -> tuple[int, ...]:
     """Histogram of vertex indices; must reproduce the h-vector."""
-    hist = [0] * (P.dim + 1)
-    for ind in vertex_indices(P, phi):
-        hist[ind] += 1
-    histogram = tuple(hist)
+    return _histogram(P, vertex_indices(P, phi))
+
+
+def _histogram(P: SimplePolytope, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """How many of ``indices`` are 0, 1, ..., n, checked against the h-vector."""
+    histogram = tuple(map(indices.count, range(P.dim + 1)))
     h = fh_vectors(P).h
     if histogram != h:
         raise TheoremViolation(f"index histogram {histogram} differs from h-vector {h}")

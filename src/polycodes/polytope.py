@@ -8,14 +8,15 @@ decided here; inputs passing the local checks are processed as given.
 
 Vertex sets are int masks (bit v is vertex v), as in the face codes.
 Validation builds the facet masks once, reads the edge rule from them
-and keeps them for the face walk: the faces of codimension k are the
-nonzero ANDs of each face of codimension k - 1 with the facets of higher
-index than its defining ones, so each level comes out sorted by defining
-facets. The walk resumes from the deepest stored faces above the level
-it is asked for, and records per codimension, as it first reaches it,
-the face count and whether every face is even; the f-vector, evenness
-and the self-duality parity window read that summary only as deep as
-they need.
+and keeps them for the face walk. The walk goes depth first, ANDing each
+face with the facets of higher index than its defining ones, so each
+codimension comes out sorted by defining facets. It holds one path of
+the lattice and the siblings pending along it, at most n * m candidate
+masks, and never a whole level. It resumes from the deepest stored
+faces above the codimension asked for and records, per codimension, the
+face count and whether every face is even; the f-vector, evenness and
+the self-duality parity window read that summary only as deep as they
+need.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain, islice
 from math import comb
 from operator import and_, or_
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .errors import InvalidInput, InvalidPolytope, TheoremViolation
@@ -304,57 +305,53 @@ def _facets_above(P: SimplePolytope) -> tuple[int, ...]:
     return P.derived("facets_above", build)
 
 
-_Level = list[tuple[tuple[int, ...], int, int]]
+def _walk(P: SimplePolytope, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (defining facets, vertex mask) of each codimension-k face, depth first.
 
-
-def _descend(level: _Level, masks: Sequence[int], above: Sequence[int]) -> _Level:
-    """The next codimension: each face ANDed with each of its candidate facets.
-
-    Nonzero results are kept. A child's candidates are its parent's that
-    come after it and meet its new facet. Children of parents taken in
-    order come out sorted by defining facets.
-    """
-    out = []
-    for defining, mask, candidates in level:
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            j = low.bit_length() - 1
-            sub = mask & masks[j]
-            if sub:
-                out.append((defining + (j,), sub, candidates & above[j]))
-    return out
-
-
-def _level(P: SimplePolytope, k: int) -> _Level:
-    """Level k of the face walk, recording the summary of each level it reaches first.
-
-    A level holds (defining facets, vertex mask, candidate facets) per
-    face; the candidates are the facets of higher index that meet every
-    defining facet, the AND of ``_facets_above`` over the defining ones.
-    The walk starts from the deepest faces up to codimension k stored on
-    P, or from the polytope itself at codimension 0. Per codimension the
-    summary holds the face count and whether every face has an even
-    vertex count; rows 0..j exist whenever the faces of codimension j are
-    stored, so the walk appends the row of each level past the summary.
+    A child ANDs its parent's mask with one of the parent's candidate
+    facets and is kept when nonzero; its candidates are the parent's that
+    meet the new facet (``_facets_above``). Children are pushed from the
+    highest facet down, so they pop in ascending order and the faces come
+    out sorted by defining facets. A node is (mask, candidates, depth,
+    facet); slot d - 1 of one k-slot list holds the path's facet at depth
+    d. The walk starts from the deepest faces up to codimension k stored
+    on P, or from P, counts every node and its parity, and appends the
+    summary rows past its end: rows 0..j exist whenever codimension j is stored.
     """
     masks, above = _facet_masks(P), _facets_above(P)
     start = max((j for j in range(1, k + 1) if ("faces", j) in P._derived), default=0)
     if start:
-        level = [
+        roots: Iterable[tuple[tuple[int, ...], int, int]] = (
             (f.defining_facets, f.vertex_mask, reduce(and_, [above[i] for i in f.defining_facets]))
             for f in P._derived[("faces", start)]
-        ]
+        )
     else:
-        level = [((), (1 << P.num_vertices) - 1, (1 << P.num_facets) - 1)]
-    for j in range(start, k + 1):
-        if j > start:
-            level = _descend(level, masks, above)
-        summary = P._derived.get("summary", ())
-        if j == len(summary):
-            row = (len(level), not any(_popcount(mask) & 1 for _, mask, _ in level))
-            P._derived["summary"] = (*summary, row)
-    return level
+        roots = [((), (1 << P.num_vertices) - 1, (1 << P.num_facets) - 1)]
+    counts, odd = [0] * (k + 1), [0] * (k + 1)  # odd[j] & 1: some face has odd size
+    path, stack = [0] * k, []
+    pop, push, popcount = stack.pop, stack.append, _popcount
+    for defining, root, candidates in roots:
+        path[:start] = defining
+        push((root, candidates, start, -1))
+        while stack:
+            mask, candidates, depth, j = pop()
+            if depth > start:
+                path[depth - 1] = j
+            counts[depth] += 1
+            odd[depth] |= popcount(mask)
+            if depth == k:
+                yield tuple(path), mask
+                continue
+            rest = candidates
+            while rest:
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
+                sub = mask & masks[j]
+                if sub:
+                    push((sub, candidates & above[j], depth + 1, j))
+    summary = P._derived.get("summary", ())
+    rows = ((counts[j], not odd[j] & 1) for j in range(len(summary), k + 1))
+    P._derived["summary"] = (*summary, *rows)
 
 
 def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
@@ -362,15 +359,15 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
 
     In a simple polytope every codimension-k face is cut out by exactly
     k facets, and the face of k facets is their intersection whenever it
-    is nonempty, so level k of the face walk lists them. Only the level
-    asked for is stored, and later walks resume from it. Codimension 0 is
+    is nonempty, so the face walk lists them. Only the codimension asked
+    for is stored, and later walks resume from it. Codimension 0 is
     the polytope itself with no defining facets, codimension n has one
     face per vertex.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
     return P.derived(
-        ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask, _ in _level(P, k))
+        ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask in _walk(P, k))
     )
 
 
@@ -386,7 +383,8 @@ def _face_summary(P: SimplePolytope, depth: int) -> tuple[tuple[int, bool], ...]
     the summary stops short of ``depth``.
     """
     if len(P._derived.get("summary", ())) <= depth:
-        _level(P, depth)
+        for _ in _walk(P, depth):
+            pass
     return P._derived["summary"][: depth + 1]
 
 

@@ -140,14 +140,22 @@ def faces_by_grouping(P: pc.SimplePolytope, k: int) -> tuple[pc.Face, ...]:
     )
 
 
-def count_descents(monkeypatch) -> list[int]:
-    """A list that grows by one on every level step of the face walk."""
+def count_levels_walked(monkeypatch) -> list[int]:
+    """A list that gets, per call of the face walk, the number of levels it
+    passes: the codimension asked for minus the deepest stored codimension
+    up to it, from which the walk resumes (0 when none is stored)."""
     from polycodes import polytope
 
-    calls: list[int] = []
-    descend = polytope._descend
-    monkeypatch.setattr(polytope, "_descend", lambda *args: calls.append(1) or descend(*args))
-    return calls
+    levels: list[int] = []
+    walk = polytope._walk
+
+    def counted(P: pc.SimplePolytope, k: int):
+        stored = [j for j in range(1, k + 1) if ("faces", j) in P._derived]
+        levels.append(k - max(stored, default=0))
+        return walk(P, k)
+
+    monkeypatch.setattr(polytope, "_walk", counted)
+    return levels
 
 
 def f_vector_by_grouping(P: pc.SimplePolytope) -> tuple[int, ...]:

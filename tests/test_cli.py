@@ -18,7 +18,7 @@ import polycodes.cli
 from polycodes.cli import main
 from polycodes.verify import CheckResult
 
-from helpers import count_descents, heawood_torus_facets
+from helpers import count_levels_walked, heawood_torus_facets
 
 CUBE3_MATRIX = (
     "101010",
@@ -135,21 +135,21 @@ def test_info_reads_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["cube 6", "prism 5", "dualcyclic57", "segment"])
 def test_info_walks_the_face_lattice_once(text, capsys, monkeypatch):
-    # f-vector and evenness come from one walk: one descent per codimension.
-    calls = count_descents(monkeypatch)
+    # f-vector and evenness come from one walk that passes each codimension once.
+    levels = count_levels_walked(monkeypatch)
     rc, _ = run(capsys, ["info", text])
     assert rc == 0
-    assert len(calls) == pc.parse_recipe(text).build().dim
+    assert sum(levels) == pc.parse_recipe(text).build().dim
 
 
-@pytest.mark.parametrize("k, descents", [(1, 2), (4, 8)])
-def test_selfdual_walks_down_to_twice_the_codimension(k, descents, capsys, monkeypatch):
+@pytest.mark.parametrize("k, levels_walked", [(1, 2), (4, 8)])
+def test_selfdual_walks_down_to_twice_the_codimension(k, levels_walked, capsys, monkeypatch):
     # The code walks to codimension k; the parity window resumes from the
     # stored faces down to 2k and walks no level twice.
-    calls = count_descents(monkeypatch)
+    levels = count_levels_walked(monkeypatch)
     rc, _ = run(capsys, ["selfdual", "cube 9", "-k", str(k)])
     assert rc == 0
-    assert len(calls) == descents
+    assert sum(levels) == levels_walked
 
 
 @pytest.mark.parametrize(
@@ -354,6 +354,34 @@ def test_morse_json(capsys):
     assert data["schema"] == 1
     assert data["histogram"] == [1, 5, 5, 1]
     assert len(data["basis"]) == 6
+
+
+def test_morse_makes_one_index_pass(capsys, monkeypatch):
+    # The histogram is read from the indices the job prints, not from a second pass.
+    from polycodes import morse
+
+    calls: list[int] = []
+    indices = morse.vertex_indices
+
+    def counted(P, phi):
+        calls.append(1)
+        return indices(P, phi)
+
+    monkeypatch.setattr(morse, "vertex_indices", counted)
+    monkeypatch.setattr(polycodes.cli, "vertex_indices", counted)
+    rc, _ = run(capsys, ["morse", "cube 8", "-k", "4"])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_morse_histogram_is_checked_against_the_h_vector(capsys, monkeypatch):
+    from polycodes import morse
+
+    monkeypatch.setattr(morse, "fh_vectors", lambda P: pc.FHVectors(f=(), h=(1, 2, 2, 1)))
+    assert main(["morse", "cube 3", "--seed", "0", "-k", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "index histogram (1, 3, 3, 1) differs from h-vector (1, 2, 2, 1)" in captured.err
 
 
 def test_morse_unrealized_exit_code(capsys):

@@ -50,13 +50,19 @@ def _load_polytope(source: str) -> SimplePolytope:
     if source == "-":
         return polytope_from_json(sys.stdin.read())
     path = Path(source)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. a recipe longer than a file name may be
+        is_file = False
+    if is_file:
         return polytope_from_json(path.read_text())
     try:
         return parse_recipe(source).build()
     except InvalidInput as exc:
+        # The reason may echo a token; a short source keeps both in full.
+        clip = lambda text, n: text if len(text) <= n else text[: n - 3] + "..."
         raise InvalidInput(
-            f"{source!r} is neither an existing file nor a recipe ({exc})"
+            f"{clip(source, 80)!r} is neither an existing file nor a recipe ({clip(str(exc), 160)})"
         ) from exc
 
 

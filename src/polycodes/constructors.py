@@ -1,21 +1,30 @@
 """Constructors for the standard simple polytopes and a small recipe language.
 
 Every constructor returns a validated SimplePolytope. Realizations are
-exact rational coordinates; the combinatorics never depends on them.
+exact rational coordinates; the combinatorics never depends on them. The
+duals of cyclic polytopes (recipe ``dualcyclic D M``, and ``dualcyclic57``
+for D = 5, M = 7) come from Gale's evenness condition and carry none.
+
+A recipe is sized from its tree before anything is built: a node over 2^18
+vertex-facet incidences (dimension x vertices; cube 14 has 229,376) raises
+BudgetExceeded, and so does ``dualcyclic D M`` when it would try over 2^18
+subsets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, pairwise
+from math import comb
 
 from ._record import Record
-from .errors import InvalidInput
+from .errors import BudgetExceeded, InvalidInput
 from .polytope import SimplePolytope, validate, vertex_neighbors
 
 __all__ = [
     "Recipe",
     "cube",
-    "dual_cyclic_5_7",
+    "dual_cyclic",
     "parse_recipe",
     "polygon",
     "prism",
@@ -57,11 +66,7 @@ def polygon(m: int) -> SimplePolytope:
     if m < 3:
         raise InvalidInput(f"polygon needs at least 3 vertices, got {m}")
     facets = [[i, (i + 1) % m] for i in range(m)]
-    coords = []
-    for i in range(m):
-        t = Fraction(i)
-        den = 1 + t * t
-        coords.append(((1 - t * t) / den, 2 * t / den))
+    coords = [(Fraction(1 - i * i, 1 + i * i), Fraction(2 * i, 1 + i * i)) for i in range(m)]
     return validate(2, facets, coords=coords, name=f"polygon {m}")
 
 
@@ -80,7 +85,8 @@ def cube(n: int) -> SimplePolytope:
     for i in range(n):
         facets.append([v for v in range(nv) if not (v >> (n - 1 - i)) & 1])
         facets.append([v for v in range(nv) if (v >> (n - 1 - i)) & 1])
-    coords = [tuple(Fraction((v >> (n - 1 - i)) & 1) for i in range(n)) for v in range(nv)]
+    bits = (Fraction(0), Fraction(1))
+    coords = [tuple(bits[(v >> (n - 1 - i)) & 1] for i in range(n)) for v in range(nv)]
     return validate(n, facets, coords=coords, name=f"cube {n}")
 
 
@@ -164,31 +170,43 @@ def vertex_cut(P: SimplePolytope, v: int) -> SimplePolytope:
     return validate(n, facets, coords=coords, name=None)
 
 
-# Vertex-facet incidence of the simple 5-polytope with 7 facets dual to
-# the cyclic polytope C^5(7): each row lists the 5 facets through one of
-# the 12 vertices. No exact rational realization ships with it.
-_DUAL_CYCLIC_57_VERTEX_FACETS = (
-    (0, 1, 2, 3, 4),
-    (0, 1, 2, 3, 6),
-    (0, 1, 2, 5, 6),
-    (0, 1, 4, 5, 6),
-    (0, 3, 4, 5, 6),
-    (2, 3, 4, 5, 6),
-    (0, 2, 3, 4, 5),
-    (1, 2, 3, 4, 6),
-    (0, 1, 3, 4, 6),
-    (0, 2, 3, 5, 6),
-    (0, 1, 2, 4, 5),
-    (1, 2, 4, 5, 6),
-)
+# The size limit of the module docstring, for recipe nodes and dual_cyclic.
+_MAX_INCIDENCES = 1 << 18
+_OVER_LIMIT = f"over the limit of 2^18 = {_MAX_INCIDENCES}"
 
 
-def dual_cyclic_5_7() -> SimplePolytope:
-    """Dual of the cyclic 5-polytope with 7 facets: 12 vertices, 7 facets."""
-    facets = [
-        [v for v, fs in enumerate(_DUAL_CYCLIC_57_VERTEX_FACETS) if t in fs] for t in range(7)
+def _dual_cyclic_shape(d: int, m: int) -> tuple[int, int]:
+    # Checks the arguments and the C(m, d) subsets Gale's condition tries,
+    # then gives the dimension and vertex count of C*(d, m).
+    if not 2 <= d < m:
+        raise InvalidInput(f"dualcyclic needs 2 <= D < M, got D = {d}, M = {m}")
+    # C(m, j) rises with j up to m / 2 and C(38, 19) is over the limit, so
+    # capping j at 19 keeps the count cheap and leaves the verdict exact.
+    if comb(m, min(d, m - d, 19)) > _MAX_INCIDENCES:
+        raise BudgetExceeded(f"dualcyclic {d} {m} tries C({m}, {d}) subsets, {_OVER_LIMIT}")
+    # The vertices are the facets of C^d(m), counted in closed form.
+    k = d // 2
+    return d, 2 * comb(m - k - 1, k) if d % 2 else m * comb(m - k, k) // (m - k)
+
+
+def dual_cyclic(d: int, m: int) -> SimplePolytope:
+    """Dual of the cyclic polytope C^d(m): a simple d-polytope with m facets, no coordinates.
+
+    Its vertices are the facets of C^d(m), the d-subsets of 0..m-1 that pass
+    Gale's evenness condition (between any two indices left out, an even
+    number are kept), in ``itertools.combinations`` order. Facet t holds the
+    vertices whose subset contains t. Over 2^18 subsets to try or 2^18
+    vertex-facet incidences it raises BudgetExceeded before building.
+    """
+    Recipe("dualcyclic", (d, m))._shape()  # the recipe's checks of arguments and size
+    # A gap's parity is that of the kept indices below it; all gaps must agree.
+    vertices = [
+        s
+        for s in combinations(range(m), d)
+        if len({j % 2 for j, (a, b) in enumerate(pairwise((-1, *s, m))) if b - a > 1}) < 2
     ]
-    return validate(5, facets, name="dualcyclic57")
+    facets = [[v for v, s in enumerate(vertices) if t in s] for t in range(m)]
+    return validate(d, facets, name=f"dualcyclic {d} {m}")
 
 
 class Recipe(Record):
@@ -207,27 +225,48 @@ class Recipe(Record):
         return self.text()
 
     def build(self) -> SimplePolytope:
-        """The polytope, named by this recipe's text."""
+        """The polytope, named by this recipe's text, once every node is within the size limit."""
+        try:
+            self._shape()
+            return self._build()
+        except RecursionError:
+            raise InvalidInput("recipe nested too deeply") from None
+
+    def _shape(self) -> tuple[int, int]:
+        # Dimension and vertex count, each node checked against the limit.
         if self.op not in _OPS:
             raise InvalidInput(f"unknown recipe op {self.op!r}")
-        kinds, make = _OPS[self.op]
+        kinds, _, shape = _OPS[self.op]
         if len(self.args) != len(kinds) or not all(map(isinstance, self.args, kinds)):
             wanted = ", ".join(kind.__name__ for kind in kinds)
             raise InvalidInput(f"recipe op {self.op!r} takes ({wanted}), got {self.args!r}")
-        P = make(*(a.build() if isinstance(a, Recipe) else a for a in self.args))
+        dim, num_vertices = shape(*(a._shape() if isinstance(a, Recipe) else a for a in self.args))
+        work = dim * num_vertices
+        if work > _MAX_INCIDENCES:
+            # str() refuses ints past 4,300 digits, so a long count shows a power of two below it.
+            shown = work if work.bit_length() <= 64 else f"over 2^{work.bit_length() - 1}"
+            raise BudgetExceeded(f"{self.text()} needs {shown} vertex-facet incidences, {_OVER_LIMIT}")
+        return dim, num_vertices
+
+    def _build(self) -> SimplePolytope:
+        make = _OPS[self.op][1]
+        P = make(*(a._build() if isinstance(a, Recipe) else a for a in self.args))
         return P if P.name == self.text() else _rename(P, self.text())
 
 
-# Per recipe op: the kinds of its arguments and its constructor.
+# Per recipe op: the kinds of its arguments, its constructor, and the
+# dimension and vertex count it builds from its arguments' own.
 _OPS = {
-    "segment": ((), segment),
-    "dualcyclic57": ((), dual_cyclic_5_7),
-    "simplex": ((int,), simplex),
-    "polygon": ((int,), polygon),
-    "cube": ((int,), cube),
-    "prism": ((int,), prism),
-    "product": ((Recipe, Recipe), product),
-    "vcut": ((Recipe, int), vertex_cut),
+    "segment": ((), segment, lambda: (1, 2)),
+    "dualcyclic": ((int, int), dual_cyclic, _dual_cyclic_shape),
+    "dualcyclic57": ((), lambda: dual_cyclic(5, 7), lambda: (5, 12)),
+    "simplex": ((int,), simplex, lambda n: (n, n + 1)),
+    "polygon": ((int,), polygon, lambda m: (2, m)),
+    # Past 2^64 vertices any cube is over the limit; the cap keeps 2^n small.
+    "cube": ((int,), cube, lambda n: (n, 1 << max(0, min(n, 64)))),
+    "prism": ((int,), prism, lambda m: (3, 2 * m)),
+    "product": ((Recipe, Recipe), product, lambda p, q: (p[0] + q[0], p[1] * q[1])),
+    "vcut": ((Recipe, int), vertex_cut, lambda p, v: (p[0], p[1] - 1 + p[0])),
 }
 
 
@@ -269,7 +308,10 @@ def parse_recipe(text: str) -> Recipe:
     tokens = _tokenize(text)
     if not tokens:
         raise InvalidInput("empty recipe")
-    recipe, pos = _parse_expr(tokens, 0)
+    try:
+        recipe, pos = _parse_expr(tokens, 0)
+    except RecursionError:
+        raise InvalidInput("recipe nested too deeply") from None
     if pos != len(tokens):
         raise InvalidInput(f"trailing tokens in recipe: {' '.join(tokens[pos:])!r}")
     return recipe

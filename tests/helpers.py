@@ -226,6 +226,26 @@ def heawood_torus_facets() -> list[list[int]]:
     return [[v for v, t in enumerate(triangles) if f in t] for f in range(7)]
 
 
+# Vertex-facet incidence of the simple 5-polytope with 7 facets dual to the
+# cyclic polytope C^5(7), copied by hand: each row lists the 5 facets through
+# one of the 12 vertices. The library once built dualcyclic57 from this table
+# in this vertex order; Gale's evenness condition now builds it.
+DUAL_CYCLIC_57_VERTEX_FACETS = (
+    (0, 1, 2, 3, 4),
+    (0, 1, 2, 3, 6),
+    (0, 1, 2, 5, 6),
+    (0, 1, 4, 5, 6),
+    (0, 3, 4, 5, 6),
+    (2, 3, 4, 5, 6),
+    (0, 2, 3, 4, 5),
+    (1, 2, 3, 4, 6),
+    (0, 1, 3, 4, 6),
+    (0, 2, 3, 5, 6),
+    (0, 1, 2, 4, 5),
+    (1, 2, 4, 5, 6),
+)
+
+
 def neighbors_by_pair_scan(P: pc.SimplePolytope) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists from all vertex pairs sharing exactly dim - 1 facets."""
     nbrs: list[list[int]] = [[] for _ in range(P.num_vertices)]

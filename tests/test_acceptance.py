@@ -102,7 +102,7 @@ def test_criterion_04():
 
 def test_criterion_05():
     def body():
-        P = pc.dual_cyclic_5_7()
+        P = pc.dual_cyclic(5, 7)
         assert pc.fh_vectors(P).h == (1, 2, 3, 3, 2, 1)
         assert tuple(len(f) for f in P.facets) == (9, 8, 9, 8, 9, 8, 9)
 

@@ -474,6 +474,50 @@ def test_unreadable_input_exits_1(tmp_path, capsys, monkeypatch):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_recipes_longer_than_a_file_name_build(capsys):
+    # The existence probe for a 276-byte "path" fails with ENAMETOOLONG.
+    chain = "cube 3"
+    for _ in range(30):
+        chain = f"vcut ({chain}) 0"
+    assert len(chain) == 276
+    rc, out = run(capsys, ["info", chain])
+    assert rc == 0
+    assert "vertices: 68" in out
+    junk = "x" * 1000
+    assert main(["info", junk]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{'x' * 77}...' is neither an existing file nor a recipe")
+    assert len(err) <= 300
+
+
+def test_deep_recipe_exits_1_with_one_error_line(capsys):
+    deep = "segment"
+    for _ in range(1200):
+        deep = f"product ({deep}) (segment)"
+    assert main(["info", deep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "recipe nested too deeply" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["info", "cube 30"], "cube 30 needs 32212254720 vertex-facet incidences"),
+        (["gen", "polygon 100000000"], "polygon 100000000 needs 200000000 vertex-facet incidences"),
+        (["code", "dualcyclic 12 40", "-k", "1"], "dualcyclic 12 40 tries C(40, 12) subsets"),
+    ],
+)
+def test_recipes_over_the_size_limit_exit_2_at_once(argv, refusal):
+    proc = subprocess.run(
+        [*CLI, *argv], capture_output=True, text=True, env=cli_env(), timeout=10
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {refusal}, over the limit of 2^18 = 262144\n"
+
+
 def test_huge_coordinate_exponent_exits_1_at_once(tmp_path):
     # Fraction("1e99999999") would build 10**99999999 and not come back.
     path = tmp_path / "square.json"

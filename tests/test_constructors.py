@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 
 import polycodes as pc
+from polycodes import constructors
 
-from helpers import check_incidence, h_from_f_by_polynomial, incidence_isomorphic, recipe_texts
+from helpers import (
+    DUAL_CYCLIC_57_VERTEX_FACETS,
+    check_incidence,
+    h_from_f_by_polynomial,
+    incidence_isomorphic,
+    recipe_texts,
+)
 
 
 # ---------------------------------------------------------------- families
@@ -229,25 +236,144 @@ def test_vertex_cut_rejects_bad_vertex():
 
 
 def test_dual_cyclic_counts():
-    P = pc.dual_cyclic_5_7()
+    P = pc.dual_cyclic(5, 7)
     assert (P.dim, P.num_vertices, len(P.facets)) == (5, 12, 7)
     assert check_incidence(P.dim, P.facets) == []
 
 
 def test_dual_cyclic_facet_sizes():
     # Facet sizes of the dual of C^5(7) alternate between 9 and 8.
-    sizes = sorted(len(f) for f in pc.dual_cyclic_5_7().facets)
+    sizes = sorted(len(f) for f in pc.dual_cyclic(5, 7).facets)
     assert sizes == [8, 8, 8, 9, 9, 9, 9]
 
 
 def test_dual_cyclic_h_vector():
-    fh = pc.fh_vectors(pc.dual_cyclic_5_7())
+    fh = pc.fh_vectors(pc.dual_cyclic(5, 7))
     assert fh.h == (1, 2, 3, 3, 2, 1)
     assert sum(fh.h) == 12
 
 
 def test_dual_cyclic_not_realized():
-    assert pc.dual_cyclic_5_7().coords is None
+    assert pc.dual_cyclic(5, 7).coords is None
+
+
+def test_dual_cyclic_57_has_the_vertices_of_the_hand_table():
+    # Gale's evenness condition lists the same vertices in another order.
+    P = pc.dual_cyclic(5, 7)
+    assert sorted(map(sorted, P.vertex_facets)) == sorted(map(list, DUAL_CYCLIC_57_VERTEX_FACETS))
+    assert pc.parse_recipe("dualcyclic57").build().facets == P.facets
+
+
+def test_dual_cyclic_vertices_in_combinations_order():
+    # C*(d, d + 1) is the d-simplex and C*(2, m) the m-gon.
+    assert [sorted(fs) for fs in pc.dual_cyclic(3, 4).vertex_facets] == [
+        [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]
+    ]
+    assert incidence_isomorphic(pc.dual_cyclic(2, 7), pc.polygon(7))
+    assert incidence_isomorphic(pc.dual_cyclic(4, 5), pc.simplex(4))
+
+
+@pytest.mark.parametrize("d, m", [(1, 4), (2, 2), (5, 5), (6, 4)])
+def test_dual_cyclic_rejects_bad_arguments(d, m):
+    with pytest.raises(pc.InvalidInput):
+        pc.dual_cyclic(d, m)
+
+
+# ------------------------------------------------------------ size limit
+
+
+def _fail_to_build(*args, **kwargs):
+    raise AssertionError("a constructor ran")
+
+
+@pytest.fixture
+def constructors_that_fail(monkeypatch):
+    for op, (kinds, _, shape) in list(constructors._OPS.items()):
+        monkeypatch.setitem(constructors._OPS, op, (kinds, _fail_to_build, shape))
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        ("cube 15", "cube 15 needs 491520 vertex-facet"),  # 15 x 2^15
+        ("cube 30", "cube 30 needs 32212254720 vertex-facet"),
+        ("cube 100000", "cube 100000 needs over 2^80 vertex-facet"),  # 2^64 vertices at least
+        ("polygon 100000000", "polygon 100000000 needs 200000000 vertex-facet"),
+        ("polygon 131073", "polygon 131073 needs 262146 vertex-facet"),
+        ("prism 43691", "prism 43691 needs 262146 vertex-facet"),  # 3 x 2 x 43691
+        ("simplex 512", "simplex 512 needs 262656 vertex-facet"),  # 512 x 513
+        ("product (cube 7) (cube 8)", "needs 491520 vertex-facet"),
+        ("vcut (cube 15) 0", "cube 15 needs 491520 vertex-facet"),
+        ("vcut (polygon 131072) 0", "needs 262146 vertex-facet"),  # 2 x (131072 - 1 + 2)
+        ("product (segment) (dualcyclic 8 40)", "dualcyclic 8 40 tries C(40, 8) subsets"),
+        ("dualcyclic 2 725", "dualcyclic 2 725 tries C(725, 2) subsets"),  # 262450
+        ("dualcyclic 60 120", "dualcyclic 60 120 tries C(120, 60) subsets"),
+        ("dualcyclic 512 513", "dualcyclic 512 513 needs 262656 vertex-facet"),  # a simplex
+        # C*(4, 40) has 40/38 x C(38, 2) = 740 vertices: 10 x 740 x 64.
+        ("product (dualcyclic 4 40) (cube 6)", "needs 473600 vertex-facet"),
+    ],
+)
+def test_recipes_over_the_size_limit_are_refused_before_building(
+    text, refusal, constructors_that_fail
+):
+    with pytest.raises(pc.BudgetExceeded) as info:
+        pc.parse_recipe(text).build()
+    assert refusal in str(info.value)
+    assert str(info.value).endswith("over the limit of 2^18 = 262144")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cube 14",
+        "polygon 131072",
+        "vcut (cube 14) 0",
+        "product (cube 7) (cube 7)",
+        "dualcyclic 2 724",
+        "dualcyclic 8 20",
+        "product (dualcyclic 4 40) (cube 5)",
+        "simplex 511",
+        "dualcyclic 511 512",
+    ],
+)
+def test_recipes_at_the_size_limit_reach_the_constructors(text, constructors_that_fail):
+    with pytest.raises(AssertionError, match="a constructor ran"):
+        pc.parse_recipe(text).build()
+
+
+def test_dual_cyclic_applies_the_size_limit_itself(monkeypatch):
+    monkeypatch.setattr(constructors, "validate", _fail_to_build)
+    with pytest.raises(pc.BudgetExceeded, match=r"dualcyclic 9 30 tries C\(30, 9\) subsets"):
+        pc.dual_cyclic(9, 30)
+    with pytest.raises(pc.BudgetExceeded, match="dualcyclic 512 513 needs 262656 vertex-facet"):
+        pc.dual_cyclic(512, 513)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=recipe_texts)
+def test_recipe_size_is_worked_out_from_the_tree(text):
+    P = pc.parse_recipe(text).build()
+    assert pc.parse_recipe(text)._shape() == (P.dim, P.num_vertices)
+
+
+def test_dual_cyclic_vertex_count_is_the_facet_count_of_the_cyclic_polytope():
+    for m in range(3, 13):
+        for d in range(2, m):
+            assert constructors._dual_cyclic_shape(d, m) == (d, pc.dual_cyclic(d, m).num_vertices)
+
+
+def test_deep_recipes_are_invalid_input():
+    deep = "segment"
+    for _ in range(1200):
+        deep = f"product ({deep}) (segment)"
+    with pytest.raises(pc.InvalidInput, match="nested too deeply"):
+        pc.parse_recipe(deep)
+    # Parsed, but too deep to build: each level of the build takes more stack.
+    chain = "cube 3"
+    for _ in range(600):
+        chain = f"vcut ({chain}) 0"
+    with pytest.raises(pc.InvalidInput, match="nested too deeply"):
+        pc.parse_recipe(chain).build()
 
 
 # ------------------------------------------------------------------ recipes
@@ -261,6 +387,7 @@ def test_recipe_text_round_trips():
         "product (polygon 6) (cube 2)",
         "vcut (vcut (simplex 3) 0) 0",
         "dualcyclic57",
+        "dualcyclic 4 7",
     ):
         r = pc.parse_recipe(text)
         assert r.text() == text
@@ -273,6 +400,7 @@ def test_recipe_build_names_the_polytope_by_its_text():
     for text in (
         "segment",
         "dualcyclic57",
+        "dualcyclic 4 7",
         "simplex 3",
         "polygon 5",
         "cube 3",
@@ -291,6 +419,8 @@ def test_recipe_build_names_the_polytope_by_its_text():
         pc.Recipe("cube", (3, 4)),
         pc.Recipe("product", (3, 4)),
         pc.Recipe("vcut", (pc.Recipe("cube", (3,)), pc.Recipe("cube", (3,)))),
+        pc.Recipe("dualcyclic", (4,)),
+        pc.Recipe("dualcyclic", (7, 4)),
     ],
     ids=str,
 )
@@ -317,6 +447,8 @@ def test_recipe_build_matches_direct_calls():
         "product (cube 2) cube 2",
         "vcut (cube 2) (cube 2)",
         "product ((cube 2) (cube 2)",
+        "dualcyclic 4",
+        "dualcyclic 4 x",
     ],
 )
 def test_recipe_parse_errors(bad):

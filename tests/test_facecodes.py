@@ -14,6 +14,7 @@ from polycodes import facecodes
 
 from helpers import (
     all_codewords,
+    check_incidence,
     closure_by_multisets,
     coloring_by_backtracking,
     even_recipe_texts,
@@ -169,6 +170,31 @@ def test_odd_prism_not_colorable():
     r = pc.colorability_report(pc.prism(5))
     assert not r.colorable
     assert r.criteria is not None and not any(r.criteria.values())
+
+
+# Duals of neighborly cyclic polytopes: every two facets meet, so no
+# coloring with d colors exists, and every criterion must say so.
+DUAL_CYCLIC = [(4, 7), (4, 8), (4, 10), (5, 8), (5, 9), (6, 9), (6, 10), (7, 10), (8, 12)]
+
+
+@pytest.mark.parametrize("d, m", DUAL_CYCLIC)
+def test_dual_cyclic_polytopes_through_every_check(d, m):
+    P = pc.dual_cyclic(d, m)
+    assert check_incidence(P.dim, P.facets) == []
+    r = pc.colorability_report(P)
+    assert not r.colorable and r.coloring is None
+    assert r.criteria is not None and not any(r.criteria.values())
+    h = pc.fh_vectors(P).h
+    assert h == h[::-1]
+    for k in range(d + 1):
+        assert not pc.self_duality_report(P, k).self_dual
+        assert pc.face_code(P, k).code.dim >= sum(h[: k + 1])
+
+
+def test_dual_cyclic_4_7_code_dimensions_break_the_inclusion_chain():
+    P = pc.dual_cyclic(4, 7)
+    assert [pc.face_code(P, k).code.dim for k in range(5)] == [1, 6, 14, 13, 14]
+    assert pc.fh_vectors(P).h == (1, 3, 6, 3, 1)
 
 
 def test_polygon_colorability_is_degenerate():

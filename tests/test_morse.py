@@ -62,7 +62,7 @@ def test_objective_length_must_match_dimension():
 
 
 def test_unrealized_polytope_has_no_height():
-    P = pc.dual_cyclic_5_7()
+    P = pc.dual_cyclic(5, 7)
     with pytest.raises(pc.Unrealized):
         pc.height_from_objective(P, (1, 2, 3, 4, 5))
     with pytest.raises(pc.Unrealized):

@@ -305,7 +305,7 @@ def test_asymmetric_h_vector_raises_on_the_heawood_torus_map():
 def test_fh_vectors_on_pinned_examples():
     assert pc.fh_vectors(pc.cube(3)) == pc.FHVectors(f=(1, 6, 12, 8), h=(1, 3, 3, 1))
     assert pc.fh_vectors(pc.simplex(3)) == pc.FHVectors(f=(1, 4, 6, 4), h=(1, 1, 1, 1))
-    assert pc.fh_vectors(pc.dual_cyclic_5_7()).h == (1, 2, 3, 3, 2, 1)
+    assert pc.fh_vectors(pc.dual_cyclic(5, 7)).h == (1, 2, 3, 3, 2, 1)
 
 
 @pytest.mark.parametrize("entry", pc.corpus(), ids=lambda e: e.label)
@@ -400,7 +400,7 @@ def test_outward_map_injective_on_even_members(entry):
 def test_is_even_on_examples():
     assert pc.is_even(pc.cube(4))
     assert not pc.is_even(pc.simplex(3))
-    assert not pc.is_even(pc.dual_cyclic_5_7())
+    assert not pc.is_even(pc.dual_cyclic(5, 7))
     assert pc.is_even(pc.polygon(6))
     assert not pc.is_even(pc.polygon(7))
     assert pc.is_even(pc.segment())
@@ -443,7 +443,7 @@ def test_json_roundtrip_with_coordinates():
 
 
 def test_json_roundtrip_without_coordinates():
-    P = pc.dual_cyclic_5_7()
+    P = pc.dual_cyclic(5, 7)
     assert pc.polytope_from_json(pc.polytope_to_json(P)) == P
 
 

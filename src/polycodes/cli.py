@@ -21,6 +21,7 @@ from .errors import (
     InvalidInput,
     TheoremViolation,
     Undefined,
+    _clip,
 )
 from .facecodes import code_matrix, colorability_report, face_code, self_duality_report
 from .gf2 import format_matrix, is_self_dual, min_distance
@@ -40,9 +41,10 @@ __all__ = ["main"]
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; this artifact
-    # reserves 2 for budget overruns, so remap to InvalidInput.
+    # reserves 2 for budget overruns, so remap to InvalidInput. The message
+    # echoes bad values whole, so it is clipped as a whole.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise InvalidInput(f"usage error: {message}")
+        raise InvalidInput(f"usage error: {_clip(message, 240)}")
 
 
 def _load_polytope(source: str) -> SimplePolytope:
@@ -59,11 +61,9 @@ def _load_polytope(source: str) -> SimplePolytope:
     try:
         return parse_recipe(source).build()
     except InvalidInput as exc:
-        # The reason may echo a token; a short source keeps both in full.
-        clip = lambda text, n: text if len(text) <= n else text[: n - 3] + "..."
-        raise InvalidInput(
-            f"{clip(source, 80)!r} is neither an existing file nor a recipe ({clip(str(exc), 160)})"
-        ) from exc
+        # The reason clips the tokens it echoes; the source is clipped here.
+        source = _clip(source)
+        raise InvalidInput(f"{source!r} is neither an existing file nor a recipe ({exc})") from exc
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], text: list[str]) -> None:

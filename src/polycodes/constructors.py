@@ -6,9 +6,11 @@ duals of cyclic polytopes (recipe ``dualcyclic D M``, and ``dualcyclic57``
 for D = 5, M = 7) come from Gale's evenness condition and carry none.
 
 A recipe is sized from its tree before anything is built: a node over 2^18
-vertex-facet incidences (dimension x vertices; cube 14 has 229,376) raises
-BudgetExceeded, and so does ``dualcyclic D M`` when it would try over 2^18
-subsets.
+vertex-facet incidences (dimension x vertices; cube 14 has 229,376, and
+``validate`` holds every input to the same limit) raises BudgetExceeded, and
+so does ``dualcyclic D M`` when it would try over 2^18 subsets. A recipe
+nests at most 200 sub-recipes deep (``_MAX_DEPTH``); a deeper one is
+refused as it is parsed. Messages echo at most 80 characters of a token.
 """
 
 from __future__ import annotations
@@ -18,8 +20,16 @@ from itertools import combinations, pairwise
 from math import comb
 
 from ._record import Record
-from .errors import BudgetExceeded, InvalidInput
-from .polytope import SimplePolytope, validate, vertex_neighbors
+from .errors import BudgetExceeded, InvalidInput, _clip
+from .polytope import (
+    _MAX_INCIDENCES,
+    _OVER_LIMIT,
+    SimplePolytope,
+    _edge_facets,
+    _size_refusal,
+    validate,
+    vertex_neighbors,
+)
 
 __all__ = [
     "Recipe",
@@ -48,7 +58,7 @@ def simplex(n: int) -> SimplePolytope:
     Realized as the convex hull of the origin and the standard basis.
     """
     if n < 1:
-        raise InvalidInput(f"simplex dimension must be >= 1, got {n}")
+        raise InvalidInput(f"simplex dimension must be >= 1, got {_clip(n)}")
     facets = [[v for v in range(n + 1) if v != i] for i in range(n + 1)]
     coords = [tuple(Fraction(0) for _ in range(n))]
     for j in range(n):
@@ -64,7 +74,7 @@ def polygon(m: int) -> SimplePolytope:
     point with half-angle tangent i.
     """
     if m < 3:
-        raise InvalidInput(f"polygon needs at least 3 vertices, got {m}")
+        raise InvalidInput(f"polygon needs at least 3 vertices, got {_clip(m)}")
     facets = [[i, (i + 1) % m] for i in range(m)]
     coords = [(Fraction(1 - i * i, 1 + i * i), Fraction(2 * i, 1 + i * i)) for i in range(m)]
     return validate(2, facets, coords=coords, name=f"polygon {m}")
@@ -79,7 +89,7 @@ def cube(n: int) -> SimplePolytope:
     face codes of cube(2k+1) with the Reed-Muller codes.
     """
     if n < 1:
-        raise InvalidInput(f"cube dimension must be >= 1, got {n}")
+        raise InvalidInput(f"cube dimension must be >= 1, got {_clip(n)}")
     nv = 1 << n
     facets = []
     for i in range(n):
@@ -130,22 +140,17 @@ def vertex_cut(P: SimplePolytope, v: int) -> SimplePolytope:
 
     Vertex v disappears (higher indices shift down by one) and n new
     vertices are appended, one per facet of v in ascending facet order:
-    the new vertex for facet f lies on the edge of v avoiding f, so it
-    joins every facet of v except f plus the new facet, which is
-    appended last. The 1/3 cut always separates v strictly from the
-    other vertices, so the realization stays exact.
+    the new vertex for facet f lies on the edge of v that leaves f (read
+    from the skeleton), so it joins every facet of v except f plus the
+    new facet, which is appended last. The 1/3 cut always separates v
+    strictly from the other vertices, so the realization stays exact.
     """
     if P.dim < 2:
         raise InvalidInput("cutting a vertex needs dimension at least 2")
     if not 0 <= v < P.num_vertices:
-        raise InvalidInput(f"vertex {v} out of range 0..{P.num_vertices - 1}")
+        raise InvalidInput(f"vertex {_clip(v)} out of range 0..{P.num_vertices - 1}")
     n = P.dim
     vfacets = sorted(P.vertex_facets[v])
-    # The edge of v avoiding facet f ends at the one neighbor not on f.
-    neighbor_along = [
-        next(w for w in vertex_neighbors(P)[v] if dropped not in P.vertex_facets[w])
-        for dropped in vfacets
-    ]
 
     relabel = lambda x: x - 1 if x > v else x
     new_index = {dropped: P.num_vertices - 1 + j for j, dropped in enumerate(vfacets)}
@@ -159,30 +164,27 @@ def vertex_cut(P: SimplePolytope, v: int) -> SimplePolytope:
 
     coords = None
     if P.coords is not None:
-        old = list(P.coords)
-        kept = [old[x] for x in range(P.num_vertices) if x != v]
-        cut_points = []
-        for j, dropped in enumerate(vfacets):
-            u = old[neighbor_along[j]]
-            base = old[v]
-            cut_points.append(tuple(a + (b - a) / 3 for a, b in zip(base, u)))
-        coords = kept + cut_points
+        end = dict(zip(_edge_facets(P)[v], vertex_neighbors(P)[v]))  # by the facet left
+        base = P.coords[v]
+        cut = [tuple(a + (b - a) / 3 for a, b in zip(base, P.coords[end[f]])) for f in vfacets]
+        coords = [p for x, p in enumerate(P.coords) if x != v] + cut
     return validate(n, facets, coords=coords, name=None)
 
 
-# The size limit of the module docstring, for recipe nodes and dual_cyclic.
-_MAX_INCIDENCES = 1 << 18
-_OVER_LIMIT = f"over the limit of 2^18 = {_MAX_INCIDENCES}"
+# How deep sub-recipes nest: far past any recipe in use, and short of the
+# depth where sizing and building a tree would exhaust Python's stack.
+_MAX_DEPTH = 200
 
 
 def _dual_cyclic_shape(d: int, m: int) -> tuple[int, int]:
     # Checks the arguments and the C(m, d) subsets Gale's condition tries,
     # then gives the dimension and vertex count of C*(d, m).
     if not 2 <= d < m:
-        raise InvalidInput(f"dualcyclic needs 2 <= D < M, got D = {d}, M = {m}")
+        raise InvalidInput(f"dualcyclic needs 2 <= D < M, got D = {_clip(d)}, M = {_clip(m)}")
     # C(m, j) rises with j up to m / 2 and C(38, 19) is over the limit, so
     # capping j at 19 keeps the count cheap and leaves the verdict exact.
     if comb(m, min(d, m - d, 19)) > _MAX_INCIDENCES:
+        d, m = _clip(d), _clip(m)
         raise BudgetExceeded(f"dualcyclic {d} {m} tries C({m}, {d}) subsets, {_OVER_LIMIT}")
     # The vertices are the facets of C^d(m), counted in closed form.
     k = d // 2
@@ -235,17 +237,15 @@ class Recipe(Record):
     def _shape(self) -> tuple[int, int]:
         # Dimension and vertex count, each node checked against the limit.
         if self.op not in _OPS:
-            raise InvalidInput(f"unknown recipe op {self.op!r}")
+            raise InvalidInput(f"unknown recipe op {_clip(repr(self.op))}")
         kinds, _, shape = _OPS[self.op]
         if len(self.args) != len(kinds) or not all(map(isinstance, self.args, kinds)):
             wanted = ", ".join(kind.__name__ for kind in kinds)
-            raise InvalidInput(f"recipe op {self.op!r} takes ({wanted}), got {self.args!r}")
+            got = _clip(repr(self.args))
+            raise InvalidInput(f"recipe op {self.op!r} takes ({wanted}), got {got}")
         dim, num_vertices = shape(*(a._shape() if isinstance(a, Recipe) else a for a in self.args))
-        work = dim * num_vertices
-        if work > _MAX_INCIDENCES:
-            # str() refuses ints past 4,300 digits, so a long count shows a power of two below it.
-            shown = work if work.bit_length() <= 64 else f"over 2^{work.bit_length() - 1}"
-            raise BudgetExceeded(f"{self.text()} needs {shown} vertex-facet incidences, {_OVER_LIMIT}")
+        if dim * num_vertices > _MAX_INCIDENCES:
+            raise _size_refusal(_clip(self.text()), dim * num_vertices)
         return dim, num_vertices
 
     def _build(self) -> SimplePolytope:
@@ -274,12 +274,14 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_expr(tokens: list[str], pos: int) -> tuple[Recipe, int]:
+def _parse_expr(tokens: list[str], pos: int, depth: int = 0) -> tuple[Recipe, int]:
+    if depth > _MAX_DEPTH:
+        raise InvalidInput("recipe nested too deeply")
     if pos >= len(tokens):
         raise InvalidInput("unexpected end of recipe")
     op = tokens[pos]
     if op not in _OPS:
-        raise InvalidInput(f"unknown recipe op {op!r}")
+        raise InvalidInput(f"unknown recipe op {_clip(repr(op))}")
     pos += 1
     args: list = []
     for kind in _OPS[op][0]:
@@ -290,12 +292,14 @@ def _parse_expr(tokens: list[str], pos: int) -> tuple[Recipe, int]:
             try:
                 args.append(int(tok))
             except ValueError:
-                raise InvalidInput(f"expected an integer after {op!r}, got {tok!r}") from None
+                got = _clip(repr(tok))
+                raise InvalidInput(f"expected an integer after {op!r}, got {got}") from None
             pos += 1
         else:
             if tok != "(":
-                raise InvalidInput(f"expected '(' for a sub-recipe of {op!r}, got {tok!r}")
-            sub, pos = _parse_expr(tokens, pos + 1)
+                got = _clip(repr(tok))
+                raise InvalidInput(f"expected '(' for a sub-recipe of {op!r}, got {got}")
+            sub, pos = _parse_expr(tokens, pos + 1, depth + 1)
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise InvalidInput(f"missing ')' after sub-recipe of {op!r}")
             args.append(sub)
@@ -308,10 +312,7 @@ def parse_recipe(text: str) -> Recipe:
     tokens = _tokenize(text)
     if not tokens:
         raise InvalidInput("empty recipe")
-    try:
-        recipe, pos = _parse_expr(tokens, 0)
-    except RecursionError:
-        raise InvalidInput("recipe nested too deeply") from None
+    recipe, pos = _parse_expr(tokens, 0)
     if pos != len(tokens):
-        raise InvalidInput(f"trailing tokens in recipe: {' '.join(tokens[pos:])!r}")
+        raise InvalidInput(f"trailing tokens in recipe: {_clip(repr(' '.join(tokens[pos:])))}")
     return recipe

@@ -14,6 +14,15 @@ __all__ = [
 ]
 
 
+def _clip(token: object, limit: int = 80) -> str:
+    """``str(token)``, cut to ``limit`` characters ending in '...' when longer.
+
+    Messages clip every token they echo, so no message grows with its input.
+    """
+    text = str(token)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 class InvalidInput(ValueError):
     """Malformed or out-of-contract input."""
 

@@ -24,6 +24,7 @@ from .gf2 import (
 from .polytope import (
     Face,
     SimplePolytope,
+    _edge_facets,
     _face_summary,
     faces_of_codim,
     fh_vectors,
@@ -103,7 +104,8 @@ def find_coloring(P: SimplePolytope) -> Coloring | None:
 
     No search is needed. A vertex sees dim distinct colors and the ends of
     an edge v-w share dim - 1 facets, so the facet w gains takes the color
-    of the facet v drops. Fixing the colors at vertex 0 thus forces every
+    of the facet v drops; the skeleton stores both, as the facet the edge
+    leaves at either end. Fixing the colors at vertex 0 thus forces every
     color along one walk of the connected skeleton, and a conflict on the
     way rules out every proper coloring. The walk stops once every facet
     has a color, so the result is kept only when ``coloring_is_proper``
@@ -115,19 +117,16 @@ def find_coloring(P: SimplePolytope) -> Coloring | None:
     Numbering colors by first appearance in facet order returns the
     lexicographically first one.
     """
-    vf = P.vertex_facets
-    nbrs = vertex_neighbors(P)
+    nbrs, left = vertex_neighbors(P), _edge_facets(P)
     colors = [-1] * P.num_facets
-    for c, i in enumerate(sorted(vf[0])):
+    for c, i in enumerate(sorted(P.vertex_facets[0])):
         colors[i] = c
     uncolored = P.num_facets - P.dim
-    seen = {0}
-    todo = [0]
+    seen, todo = {0}, [0]
     while todo and uncolored:
         v = todo.pop()
-        for w in nbrs[v]:
-            (a,) = vf[v] - vf[w]
-            (b,) = vf[w] - vf[v]
+        for w, a in zip(nbrs[v], left[v]):
+            b = left[w][nbrs[w].index(v)]
             if colors[b] < 0:
                 colors[b] = colors[a]
                 uncolored -= 1

@@ -23,6 +23,7 @@ from .gf2 import _ones, _span
 from .polytope import (
     Face,
     SimplePolytope,
+    _edge_facets,
     _facet_masks,
     fh_vectors,
     is_even,
@@ -140,23 +141,23 @@ def extract_basis(
 ) -> list[tuple[int, Face]]:
     """Pick one codimension-k face per vertex of index at most k.
 
-    Each selected vertex contributes the face spanned by the
-    lexicographically smallest (n-k)-subset of its upward edges, cut out
-    of the facet masks. The resulting indicators are asserted independent;
-    on even polytopes they must additionally span the whole codimension-k
-    code. The selected vertex is always the unique lowest vertex of its
-    face, which is what forces independence.
+    Each selected vertex v contributes the face spanned by the
+    lexicographically smallest (n-k)-subset of its upward edges, cut out of
+    the masks of the facets of v that none of those edges leaves. The
+    indicators are asserted independent; on even polytopes they must also
+    span the codimension-k code. The selected vertex is always the unique
+    lowest vertex of its face, which is what forces independence.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
     _check_height(P, phi)
-    rank, n, vf, masks = phi.rank, P.dim, P.vertex_facets, _facet_masks(P)
+    rank, n, vf, masks, left = phi.rank, P.dim, P.vertex_facets, _facet_masks(P), _edge_facets(P)
     selected: list[tuple[int, Face]] = []
     for v, neighbors in enumerate(vertex_neighbors(P)):
-        up = [w for w in neighbors if rank[w] > rank[v]]
+        up = [f for w, f in zip(neighbors, left[v]) if rank[w] > rank[v]]  # the facets they leave
         if n - len(up) > k:
             continue
-        defining = tuple(sorted(vf[v].intersection(*(vf[w] for w in up[: n - k]))))
+        defining = tuple(sorted(vf[v].difference(up[: n - k])))
         mask = reduce(int.__and__, map(masks.__getitem__, defining), (1 << P.num_vertices) - 1)
         if min(_ones(mask), key=rank.__getitem__) != v:
             raise TheoremViolation(f"vertex {v} is not the lowest vertex of its selected face")

@@ -5,18 +5,21 @@ frozenset of vertex indices. Validation covers the local combinatorics
 of simplicity (n facets and n edge neighbors per vertex, connected
 skeleton). Global polytopality of abstract incidence data is not
 decided here; inputs passing the local checks are processed as given.
+Every input is held to 2^18 vertex-facet incidences (dimension x vertices).
 
 Vertex sets are int masks (bit v is vertex v), as in the face codes.
 Validation builds the facet masks once, reads the edge rule from them
-and keeps them for the face walk. The walk goes depth first, ANDing each
-face with the facets of higher index than its defining ones, so each
-codimension comes out sorted by defining facets. It holds one path of
-the lattice and the siblings pending along it, at most n * m candidate
-masks, and never a whole level. It resumes from the deepest stored
-faces above the codimension asked for and records, per codimension, the
-face count and whether every face is even; the f-vector, evenness and
-the self-duality parity window read that summary only as deep as they
-need.
+and keeps them for the face walk. The edge rule also names the facet
+each edge leaves; validation keeps it beside the neighbor lists, and
+other modules read it through ``_edge_facets``. The walk goes depth
+first, ANDing each face with the facets of higher index than its
+defining ones, so each codimension comes out sorted by defining
+facets. It holds one path of the lattice and the siblings pending
+along it, at most n * m candidate masks, and never a whole level. It
+resumes from the deepest stored faces above the codimension asked for
+and records, per codimension, the face count and whether every face is
+even; the f-vector, evenness and the self-duality parity window read
+that summary only as deep as they need.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from operator import and_, or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._record import Record
-from .errors import InvalidInput, InvalidPolytope, TheoremViolation
+from .errors import BudgetExceeded, InvalidInput, InvalidPolytope, TheoremViolation, _clip
 from .gf2 import BitVector, _bitmask, _ones, _popcount
 
 __all__ = [
@@ -108,13 +111,30 @@ class FHVectors(Record):
     h: tuple[int, ...]
 
 
+# The size limit on every input: dimension x vertex count, the vertex-facet
+# incidences a simple polytope has (cube 14 has 229,376).
+_MAX_INCIDENCES = 1 << 18
+_OVER_LIMIT = f"over the limit of 2^18 = {_MAX_INCIDENCES}"
+
+
+def _size_refusal(what: str, work: int) -> BudgetExceeded:
+    """The refusal of ``what``, which needs ``work`` vertex-facet incidences, over the limit."""
+    # str() refuses ints past 4,300 digits, so a long count shows a power of two below it.
+    shown = work if work.bit_length() <= 64 else f"over 2^{work.bit_length() - 1}"
+    return BudgetExceeded(f"{what} needs {shown} vertex-facet incidences, {_OVER_LIMIT}")
+
+
 def _normalize_facets(facets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     out = []
     for fac in facets:
-        fs = frozenset(fac)
+        try:
+            fs = frozenset(fac)
+        except TypeError:  # an unhashable entry, which the loop below refuses
+            fs = fac
         for v in fs:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidPolytope([f"vertex indices must be nonnegative integers, got {v!r}"])
+                got = _clip(repr(v))
+                raise InvalidPolytope([f"vertex indices must be nonnegative integers, got {got}"])
         out.append(fs)
     return tuple(out)
 
@@ -134,7 +154,7 @@ def _rational(x: object) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise InvalidInput(f"entry {x!r} is not rational")
+    raise InvalidInput(f"entry {_clip(repr(x))} is not rational")
 
 
 def _normalize_coords(
@@ -164,30 +184,32 @@ def _normalize_coords(
 
 def _skeleton(
     vertex_facets: Sequence[frozenset[int]], masks: Sequence[int]
-) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, list[int], int]]]:
-    """Edge neighbors, and every (vertex, facets, other count) that breaks the edge rule.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], list[tuple[int, list[int], int]]]:
+    """Neighbors, the facet each edge leaves, and the edge rule's breaks as (vertex, facets, others).
 
     The edge rule: the vertex masks of the facets of v but one, ANDed,
-    minus v, leave exactly one vertex, the other end of an edge. The AND
-    without facet j is that of the masks before j and of those after it.
-    Breaks come in vertex order, then by dropped facet ascending.
+    minus v, leave exactly one vertex w, and the edge v-w leaves the facet
+    left out. The AND without facet j is that of the masks before j and
+    after it. Neighbors come sorted, each beside its facet; breaks come by
+    vertex, then by dropped facet ascending.
     """
     everything = (1 << len(vertex_facets)) - 1
-    neighbors = []
-    broken = []
+    ids = list(range(len(vertex_facets)))  # entries share these ints: far less memory than new ones
+    neighbors, left, broken = [], [], []
     for v, fs in enumerate(vertex_facets):
         ordered = sorted(fs)
         around = [masks[i] for i in ordered]
         after = [*accumulate(reversed(around), and_, initial=everything)][-2::-1]
-        ends = []
-        for j, (head, tail) in enumerate(zip(accumulate(around, and_, initial=everything), after)):
-            others = (head & tail) ^ (1 << v)
+        ends, bit = {}, 1 << v
+        for f, head, tail in zip(ordered, accumulate(around, and_, initial=everything), after):
+            others = (head & tail) ^ bit
             if others and not others & (others - 1):
-                ends.append(others.bit_length() - 1)
+                ends[ids[others.bit_length() - 1]] = f
             else:
-                broken.append((v, ordered[:j] + ordered[j + 1 :], _popcount(others)))
+                broken.append((v, [i for i in ordered if i != f], _popcount(others)))
         neighbors.append(tuple(sorted(ends)))
-    return tuple(neighbors), broken
+        left.append(tuple(map(ends.__getitem__, neighbors[-1])))
+    return tuple(neighbors), tuple(left), broken
 
 
 def validate(
@@ -199,10 +221,13 @@ def validate(
     """Build a SimplePolytope, raising InvalidPolytope with every violated check.
 
     The checks run in stages, and a stage with violations ends the pass.
-    The facet masks and the edge neighbors it builds are kept on the polytope.
+    Once the vertex count is known, an input over 2^18 vertex-facet
+    incidences (dimension x vertices) raises BudgetExceeded before the
+    per-vertex lists are built. The facet masks, the edge neighbors and
+    the facet each edge leaves are kept on the polytope.
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InvalidPolytope([f"dimension must be a positive integer, got {dim!r}"])
+        raise InvalidPolytope([f"dimension must be a positive integer, got {_clip(repr(dim))}"])
     fsets = _normalize_facets(facets)
     violations: list[str] = []
     m = len(fsets)
@@ -221,9 +246,11 @@ def validate(
         # in proportion to the largest index.
         gaps = (range(lo + 1, hi) for lo, hi in zip([-1, *present], present))
         shown = list(islice(chain.from_iterable(gaps), 5))
-        more = f" and {num_missing - 5} more" if num_missing > 5 else ""
-        missing = f"vertex indices must cover 0..{num_vertices - 1}; missing {shown}{more}"
+        more = f" and {_clip(num_missing - 5)} more" if num_missing > 5 else ""
+        missing = f"vertex indices must cover 0..{_clip(num_vertices - 1)}; missing {shown}{more}"
         raise InvalidPolytope([*violations, missing])
+    if dim * num_vertices > _MAX_INCIDENCES:
+        raise _size_refusal("the polytope", dim * num_vertices)
 
     incident: list[list[int]] = [[] for _ in range(num_vertices)]
     for i, f in enumerate(fsets):
@@ -247,7 +274,7 @@ def validate(
         raise InvalidPolytope(violations)
 
     masks = tuple(map(_bitmask, fsets))
-    neighbors, broken = _skeleton(vertex_facets, masks)
+    neighbors, left, broken = _skeleton(vertex_facets, masks)
     for v, rest, others in broken[:5]:
         violations.append(
             f"vertex {v} shares facets {rest} with {others} other vertices, expected exactly 1"
@@ -280,7 +307,7 @@ def validate(
         coords=coords,
         name=name,
     )
-    P._derived.update(facet_masks=masks, neighbors=neighbors)
+    P._derived.update(facet_masks=masks, neighbors=neighbors, edge_facets=left)
     return P
 
 
@@ -292,6 +319,11 @@ def _facet_masks(P: SimplePolytope) -> tuple[int, ...]:
 def vertex_neighbors(P: SimplePolytope) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists of the 1-skeleton, each sorted ascending."""
     return P.derived("neighbors", lambda: _skeleton(P.vertex_facets, _facet_masks(P))[0])
+
+
+def _edge_facets(P: SimplePolytope) -> tuple[tuple[int, ...], ...]:
+    """Per vertex v, aligned with ``vertex_neighbors(P)[v]``: the facet of v each edge leaves."""
+    return P.derived("edge_facets", lambda: _skeleton(P.vertex_facets, _facet_masks(P))[1])
 
 
 def _facets_above(P: SimplePolytope) -> tuple[int, ...]:
@@ -439,7 +471,7 @@ def polytope_from_json(source: str) -> SimplePolytope:
     """
     try:
         data = json.loads(source)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad syntax or an over-long int
         raise InvalidInput(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInput("polytope JSON must be an object")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import io
 import json
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycodes as pc
 import polycodes.cli
@@ -490,6 +493,65 @@ def test_recipes_longer_than_a_file_name_build(capsys):
     assert len(err) <= 300
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "cube " + "y" * 1000,
+        "vcut (cube 3) " + "9" * 1000,
+        "polygon -" + "9" * 1000,
+        "dualcyclic " + "8" * 1000 + " " + "9" * 1000,
+        "product (" + "w" * 1000 + ") (segment)",
+    ],
+    ids=lambda source: source[:12],
+)
+def test_long_recipe_tokens_give_a_short_error_line(source, capsys):
+    assert main(["info", source]) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 600
+
+
+def test_usage_errors_clip_the_values_they_echo(capsys):
+    assert main(["code", "cube 3", "-k", "y" * 1000]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage error: argument -k: invalid int value: 'yyy")
+    assert err.endswith("...\n") and len(err) == len("error: usage error: \n") + 240
+    assert main(["verify", "--suite", "nope"]) == 1
+    assert capsys.readouterr().err == (
+        "error: usage error: argument --suite: invalid choice: 'nope' (choose from "
+        "'colorability', 'selfdual', 'duality', 'morse', 'screen', 'conjecture', 'all')\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "document, rc, message",
+    [
+        # 3 vertices in dimension 100000: refused before the per-vertex lists are built.
+        (
+            {"dim": 100000, "facets": [[0, 1], [1, 2], [2, 0]]},
+            2,
+            "the polytope needs 300000 vertex-facet incidences, over the limit of 2^18 = 262144",
+        ),
+        ({"dim": 2, "facets": [[0, 1], [1, 2], [2, [0]]]}, 1, "got [0]"),
+        ({"dim": 2, "facets": [[0, 1], [1, 2], [2, {"v": 0}]]}, 1, "got {'v': 0}"),
+        ({"dim": 2, "facets": [[0, 1], [1, 2], [2, "x" * 1000]]}, 1, f"got '{'x' * 76}..."),
+    ],
+)
+def test_json_documents_fail_with_one_short_line(document, rc, message, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(document)))
+    assert main(["info", "-"]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith(f"{message}\n")
+
+
+def test_json_integer_past_the_digit_limit_exits_1(capsys, monkeypatch):
+    # json.loads refuses ints of over 4,300 digits with a plain ValueError.
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim": 2, "facets": [[' + "1" * 5000 + "]]}"))
+    assert main(["info", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not valid JSON: Exceeds the limit") and len(err) < 300
+
+
 def test_deep_recipe_exits_1_with_one_error_line(capsys):
     deep = "segment"
     for _ in range(1200):
@@ -561,3 +623,84 @@ def test_console_script_is_wired():
     )
     assert proc.returncode == 0
     assert "dimension: 1" in proc.stdout
+
+
+# --------------------------------------------------------------------- fuzz
+
+# Integers stay small, so every drawn job finishes in milliseconds.
+_small_ints = st.integers(-2, 6).map(str)
+_recipe_tokens = st.one_of(
+    _small_ints,
+    st.sampled_from(
+        ["(", ")", "cube", "prism", "polygon", "simplex", "segment", "product", "vcut"]
+        + ["dualcyclic", "dualcyclic57", "-", "x" * 300, "9" * 400]
+    ),
+    st.text(max_size=6),
+)
+_recipes = st.one_of(
+    st.lists(_recipe_tokens, max_size=8).map(" ".join),
+    st.builds(
+        "{} {}".format, st.sampled_from(["cube", "prism", "polygon", "simplex", "dualcyclic 3"]), _small_ints
+    ),
+    st.builds("vcut (prism {}) {}".format, _small_ints, _small_ints),
+)
+# Per subcommand: the options it requires, and those it also takes.
+_OPTIONS = {
+    "gen": ([], []),
+    "info": ([], []),
+    "code": (["-k"], ["--matrix"]),
+    "mindist": (["-k"], []),
+    "color": ([], []),
+    "selfdual": (["-k"], []),
+    "screen": (["--length", "--mindist"], ["--doubly-even"]),
+    "morse": (["-k"], ["--seed"]),
+    "verify": ([], ["--corpus", "--suite"]),
+    "bogus": ([], []),
+}
+_ANY_OPTIONS = ["--json", "--nope", "-k", "--seed", "--length", "--mindist", "--suite"]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command, *draw(st.one_of(st.just([]), st.just(["-"]), _recipes.map(lambda t: [t])))]
+    required, own = _OPTIONS[command]
+    flags = required if draw(st.integers(0, 3)) else []  # mostly there
+    fitting = st.sampled_from([*own, *required, "--json"])
+    flags = flags + draw(st.lists(st.one_of(fitting, fitting, st.sampled_from(_ANY_OPTIONS)), max_size=3))
+    for flag in flags:
+        argv.append(flag)
+        if flag == "--suite":
+            argv.append(draw(st.sampled_from(["all", "colorability", "morse", "nope"])))
+        elif flag in ("-k", "--seed", "--length", "--mindist"):
+            argv.append(draw(_small_ints))
+    return argv + ([] if draw(st.integers(0, 4)) else [draw(_recipe_tokens)])  # a stray token
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "facets", "coords", "name"]), inner, max_size=4),
+    max_leaves=12,
+)
+_indices = st.lists(st.lists(st.integers(-1, 7), max_size=4), max_size=6)
+_documents = st.one_of(
+    st.text(max_size=40),
+    _json_values.map(json.dumps),
+    st.fixed_dictionaries({"dim": st.integers(-1, 4), "facets": _indices}).map(json.dumps),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(argv=_argvs(), stdin=_documents)
+def test_main_survives_malformed_input(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = saved
+    assert rc in (0, 1, 2), err.getvalue()
+    assert all(len(line) <= 600 for line in err.getvalue().splitlines())

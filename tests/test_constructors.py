@@ -368,12 +368,86 @@ def test_deep_recipes_are_invalid_input():
         deep = f"product ({deep}) (segment)"
     with pytest.raises(pc.InvalidInput, match="nested too deeply"):
         pc.parse_recipe(deep)
-    # Parsed, but too deep to build: each level of the build takes more stack.
+    # Refused as it is parsed, like any recipe past the nesting limit; sizing
+    # and building it would each take two stack frames per level.
     chain = "cube 3"
     for _ in range(600):
         chain = f"vcut ({chain}) 0"
     with pytest.raises(pc.InvalidInput, match="nested too deeply"):
-        pc.parse_recipe(chain).build()
+        pc.parse_recipe(chain)
+    # A tree built through the API is not parsed; its build refuses it.
+    tree = pc.parse_recipe("cube 3")
+    for _ in range(600):
+        tree = pc.Recipe("vcut", (tree, 0))
+    with pytest.raises(pc.InvalidInput, match="nested too deeply"):
+        tree.build()
+
+
+def test_recipe_depth_has_one_documented_limit():
+    def chain(depth: int) -> str:
+        text = "segment"
+        for _ in range(depth):
+            text = f"product ({text}) (segment)"
+        return text
+
+    assert constructors._MAX_DEPTH == 200
+    recipe = pc.parse_recipe(chain(constructors._MAX_DEPTH))
+    # Sizing walks the whole tree at the limit without running out of stack.
+    with pytest.raises(pc.BudgetExceeded, match="vertex-facet incidences"):
+        recipe.build()
+    with pytest.raises(pc.InvalidInput, match="^recipe nested too deeply$"):
+        pc.parse_recipe(chain(constructors._MAX_DEPTH + 1))
+
+
+# Long tokens in each place a message echoes one.
+_JUNK = [
+    "x" * 1000,
+    "cube " + "y" * 1000,
+    "cube 3 " + "z" * 1000,
+    "product " + "w" * 1000,
+    "vcut (cube 3) " + "9" * 1000,
+    "polygon -" + "9" * 1000,
+    "cube -" + "9" * 1000,
+    "dualcyclic " + "9" * 1000 + " 3",
+    "dualcyclic 3 " + "9" * 1000,
+    "dualcyclic " + "8" * 1000 + " " + "9" * 1000,
+]
+
+
+@pytest.mark.parametrize("text", _JUNK, ids=lambda t: t[:12])
+def test_recipe_messages_clip_what_they_echo(text):
+    with pytest.raises((pc.InvalidInput, pc.BudgetExceeded)) as info:
+        pc.parse_recipe(text).build()
+    assert len(str(info.value)) <= 400  # at most four echoed tokens of 80 characters
+
+
+def test_recipe_messages_clip_the_shape_of_api_trees():
+    with pytest.raises(pc.InvalidInput) as info:
+        pc.Recipe("q" * 1000).build()
+    assert str(info.value) == f"unknown recipe op '{'q' * 76}..."
+    with pytest.raises(pc.InvalidInput) as info:
+        pc.Recipe("cube", ("9" * 1000,)).build()
+    assert len(str(info.value)) <= 200
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty recipe"),
+        ("cube", "recipe op 'cube' is missing arguments"),
+        ("cube x", "expected an integer after 'cube', got 'x'"),
+        ("hypercube 3", "unknown recipe op 'hypercube'"),
+        ("vcut cube 3", "expected '(' for a sub-recipe of 'vcut', got 'cube'"),
+        ("cube 3 4 5", "trailing tokens in recipe: '4 5'"),
+        ("polygon 2", "polygon needs at least 3 vertices, got 2"),
+        ("vcut (cube 3) 8", "vertex 8 out of range 0..7"),
+        ("dualcyclic 5 5", "dualcyclic needs 2 <= D < M, got D = 5, M = 5"),
+    ],
+)
+def test_short_recipes_keep_their_messages_whole(text, message):
+    with pytest.raises(pc.InvalidInput) as info:
+        pc.parse_recipe(text).build()
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------------------ recipes

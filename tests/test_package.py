@@ -41,6 +41,35 @@ def test_only_the_polytope_module_walks_the_face_lattice():
         assert "_walk" not in names, path.name
 
 
+def test_only_the_polytope_module_pairs_edges_with_facets():
+    # The facet each edge leaves has one owner: the skeleton stores it and
+    # other modules read it through _edge_facets. None names the skeleton,
+    # builds the store, or takes set differences or intersections between
+    # two entries of one table, as vertex_facets[v] - vertex_facets[w] did.
+    def same_table(a: ast.AST, b: ast.AST) -> bool:
+        return all(isinstance(x, ast.Subscript) for x in (a, b)) and ast.dump(a.value) == ast.dump(b.value)
+
+    for path in sorted(Path(pc.__file__).parent.glob("*.py")):
+        if path.name == "polytope.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in nodes if isinstance(n, ast.Name)}
+        assert "_skeleton" not in names, path.name
+        assert "edge_facets" not in {n.value for n in nodes if isinstance(n, ast.Constant)}, path.name
+        for n in nodes:
+            if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Sub, ast.BitAnd)):
+                assert not same_table(n.left, n.right), (path.name, n.lineno)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in (
+                "difference",
+                "intersection",
+                "symmetric_difference",
+            ):
+                inner = [x for arg in n.args for x in ast.walk(arg)]
+                assert not any(same_table(n.func.value, x) for x in inner), (path.name, n.lineno)
+
+
 def test_no_module_imports_dataclasses():
     # Records derive from _record.Record: dataclasses pulls in inspect, ast
     # and tokenize, and every CLI process would pay for that import.

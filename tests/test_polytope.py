@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polycodes as pc
+from polycodes import polytope
 
 from helpers import (
     check_incidence,
@@ -144,6 +145,36 @@ def test_check_incidence_pins_violation_lists(dim, facets, expected):
     with pytest.raises(pc.InvalidPolytope) as err:
         pc.validate(dim, facets)
     assert list(err.value.reasons) == expected
+
+
+def test_validate_refuses_inputs_over_the_size_limit():
+    # The size is dimension x vertex count, known before any per-vertex list
+    # is built, so a huge dimension over two vertices is refused at once.
+    with pytest.raises(pc.BudgetExceeded) as info:
+        pc.validate(10**6, [[0], [1]])
+    assert str(info.value) == (
+        "the polytope needs 2000000 vertex-facet incidences, over the limit of 2^18 = 262144"
+    )
+    with pytest.raises(pc.BudgetExceeded, match=r"needs over 2\^100 vertex-facet incidences"):
+        pc.validate(10**30, [[0], [1]])
+    # At the limit the other checks run as before.
+    assert check_incidence(2**17, [[0], [1]]) == [
+        "a 131072-polytope needs at least 131073 facets, got 2",
+        "every vertex must lie in exactly 131072 facets; vertex 0 lies in 1 (2 offender(s))",
+    ]
+
+
+def test_recipes_and_validate_share_one_size_limit():
+    from polycodes import constructors
+
+    assert constructors._MAX_INCIDENCES is polytope._MAX_INCIDENCES == 1 << 18
+    assert constructors._OVER_LIMIT is polytope._OVER_LIMIT
+
+
+def test_unhashable_vertex_indices_are_invalid():
+    assert check_incidence(2, [[0, 1], [1, 2], [2, [0]]]) == [
+        "vertex indices must be nonnegative integers, got [0]"
+    ]
 
 
 def test_missing_vertex_indices_are_counted_not_listed():
@@ -346,6 +377,29 @@ def test_neighbors_and_edges_match_pair_scan_oracle(entry):
     oracle = neighbors_by_pair_scan(P)
     assert pc.vertex_neighbors(P) == oracle
     assert edges(P) == tuple((u, w) for u in P.vertices() for w in oracle[u] if u < w)
+
+
+def assert_edge_facets_are_the_set_differences(P: pc.SimplePolytope) -> None:
+    # The oracle: the edge v-w leaves the one facet of v that w is not on.
+    left = polytope._edge_facets(P)
+    vf = P.vertex_facets
+    for v, (neighbors, facets) in enumerate(zip(pc.vertex_neighbors(P), left)):
+        assert len(neighbors) == len(facets) == P.dim
+        for w, facet in zip(neighbors, facets):
+            assert {facet} == vf[v] - vf[w]
+    # A copy that carries no derived data recomputes the same map.
+    assert polytope._edge_facets(P._replace(name="copy")) == left
+
+
+@pytest.mark.parametrize("entry", pc.corpus(), ids=lambda e: e.label)
+def test_edge_facets_are_the_set_differences_on_corpus(entry):
+    assert_edge_facets_are_the_set_differences(entry.build())
+
+
+@settings(deadline=None, max_examples=25)
+@given(recipe_texts)
+def test_edge_facets_are_the_set_differences_on_random_recipes(text):
+    assert_edge_facets_are_the_set_differences(pc.parse_recipe(text).build())
 
 
 @settings(deadline=None, max_examples=25)

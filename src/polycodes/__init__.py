@@ -10,7 +10,7 @@ Each module's ``__all__`` is the one list of its public names; the
 package re-exports them all.
 """
 
-from . import constructors, errors, facecodes, gf2, morse, polytope, screen, smallcover, verify
+from . import constructors, errors, facecodes, gf2, morse, polytope, screen, verify
 from . import corpus as _corpus
 from .constructors import *  # noqa: F401,F403
 from .corpus import *  # noqa: F401,F403  (binds corpus, the function, over the submodule)
@@ -20,13 +20,12 @@ from .gf2 import *  # noqa: F401,F403
 from .morse import *  # noqa: F401,F403
 from .polytope import *  # noqa: F401,F403
 from .screen import *  # noqa: F401,F403
-from .smallcover import *  # noqa: F401,F403
 from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = sorted(
     name
-    for module in (constructors, _corpus, errors, facecodes, gf2, morse, polytope, screen, smallcover, verify)
+    for module in (constructors, _corpus, errors, facecodes, gf2, morse, polytope, screen, verify)
     for name in module.__all__
 )

@@ -115,7 +115,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     fc = face_code(P, args.k)
     if args.matrix:
-        rows = format_matrix(code_matrix(P, args.k)).splitlines()
+        rows = format_matrix(code_matrix(P, args.k), len(fc.faces)).splitlines()
         _emit(args, {"codimension": args.k, "rows": rows}, rows)
         return 0
     trace = is_self_dual(fc.code)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ._record import Record
 from .errors import Inapplicable, InvalidInput, TheoremViolation
 from .gf2 import (
-    BitVector,
     LinearCode,
     SelfDualityTrace,
     _doubly_even,
@@ -73,14 +72,14 @@ def face_code(P: SimplePolytope, k: int) -> FaceCode:
     return P.derived(("face_code", k), build)
 
 
-def code_matrix(P: SimplePolytope, k: int) -> list[BitVector]:
-    """Incidence matrix rows by vertex; column j is the j-th codimension-k face."""
+def code_matrix(P: SimplePolytope, k: int) -> list[int]:
+    """Incidence matrix rows by vertex as ints; bit j of a row is the j-th codimension-k face."""
     faces = faces_of_codim(P, k)
     rows = [0] * P.num_vertices
     for j, f in enumerate(faces):
         for v in _ones(f.vertex_mask):
             rows[v] |= 1 << j
-    return [BitVector(len(faces), row) for row in rows]
+    return rows
 
 
 class Coloring(Record):

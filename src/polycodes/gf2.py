@@ -4,13 +4,12 @@ Vectors are fixed-length bit strings packed into Python integers
 (coordinate i is bit i, so words fill from the little end and the tail
 beyond ``length`` is kept zero). Codes are row spaces held as int rows
 in reduced echelon form, which makes equality of subspaces a tuple
-comparison; ``BitVector`` is the validated public wrapper at the edge.
+comparison. Int rows are the one vector representation, at the edge
+too: ``format_matrix`` renders them as text.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -19,17 +18,13 @@ from .errors import BudgetExceeded, InvalidInput, TheoremViolation, Undefined
 
 __all__ = [
     "ENUMERATION_CAP",
-    "BitVector",
     "LinearCode",
     "SelfDualityTrace",
     "WeightEnumerator",
     "dual_code",
     "format_matrix",
-    "inner",
     "is_self_dual",
     "min_distance",
-    "reduce",
-    "reed_muller",
     "weight_enumerator",
 ]
 
@@ -61,96 +56,6 @@ def _ones(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-class BitVector(Record):
-    """Vector in GF(2)^length; coordinate i is bit i of ``bits``."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.length, int) or self.length < 1:
-            raise InvalidInput(f"vector length must be a positive integer, got {self.length!r}")
-        if not isinstance(self.bits, int) or self.bits < 0:
-            raise InvalidInput(f"bit pattern must be a nonnegative integer, got {self.bits!r}")
-        object.__setattr__(self, "bits", self.bits & ((1 << self.length) - 1))
-
-    @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length, 0)
-
-    @classmethod
-    def ones(cls, length: int) -> "BitVector":
-        return cls(length, (1 << length) - 1)
-
-    @classmethod
-    def from01(cls, text: str) -> "BitVector":
-        """Parse a '0'/'1' string; character i is coordinate i."""
-        if not text or set(text) - {"0", "1"}:
-            raise InvalidInput(f"expected a nonempty string of 0s and 1s, got {text!r}")
-        return cls(len(text), _bitmask(i for i, ch in enumerate(text) if ch == "1"))
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise InvalidInput(f"coordinate {i} out of range for length {length}")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    @property
-    def weight(self) -> int:
-        return _popcount(self.bits)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(_ones(self.bits))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
-
-    def _check_same_length(self, other: "BitVector") -> None:
-        if self.length != other.length:
-            raise InvalidInput(f"length mismatch: {self.length} vs {other.length}")
-
-    def __add__(self, other: "BitVector") -> "BitVector":
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        self._check_same_length(other)
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        """Componentwise product, the idempotent AND of supports."""
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        self._check_same_length(other)
-        return BitVector(self.length, self.bits & other.bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __iter__(self) -> Iterator[int]:
-        return ((self.bits >> i) & 1 for i in range(self.length))
-
-    def __str__(self) -> str:
-        return self.to01()
-
-
-def inner(u: BitVector, v: BitVector) -> int:
-    """Standard bilinear form, the parity of the common support."""
-    u._check_same_length(v)
-    return _popcount(u.bits & v.bits) & 1
-
-
 class LinearCode(Record):
     """Subspace of GF(2)^length, kept as its canonical basis.
 
@@ -162,19 +67,9 @@ class LinearCode(Record):
     length: int
     rows: tuple[int, ...]
 
-    @cached_property
-    def basis(self) -> tuple[BitVector, ...]:
-        """The rows as BitVectors, for callers outside the core."""
-        return tuple(BitVector(self.length, r) for r in self.rows)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, v: BitVector) -> bool:
-        if v.length != self.length:
-            raise InvalidInput(f"length mismatch: {v.length} vs {self.length}")
-        return _span(self.length, [v.bits]).is_subspace_of(self)
 
     def is_subspace_of(self, other: "LinearCode") -> bool:
         # In reduced echelon form the coefficient of a row in a codeword is
@@ -199,22 +94,6 @@ def _span(length: int, rows: Iterable[int]) -> LinearCode:
     """The code spanned by int rows, none with a bit at or beyond ``length``."""
     pivot_rows, _ = _eliminate(rows, (1 << length) - 1)
     return LinearCode(length, tuple(pivot_rows[p] for p in sorted(pivot_rows)))
-
-
-def reduce(generators: Iterable[BitVector], *, length: int | None = None) -> LinearCode:
-    """Gaussian elimination to the canonical reduced echelon basis.
-
-    ``length`` is only required when ``generators`` is empty.
-    """
-    gens = tuple(generators)
-    if length is None:
-        if not gens:
-            raise InvalidInput("length is required for an empty generator set")
-        length = gens[0].length
-    for g in gens:
-        if g.length != length:
-            raise InvalidInput(f"generator of length {g.length} in a code of length {length}")
-    return _span(length, (g.bits for g in gens))
 
 
 def _eliminate(rows: Iterable[int], mask: int) -> tuple[dict[int, int], list[int]]:
@@ -517,30 +396,6 @@ def weight_enumerator(code: LinearCode) -> WeightEnumerator:
     return WeightEnumerator(counts=dict(sorted(counts.items())), doubly_even=enumerated)
 
 
-def reed_muller(k: int, m: int) -> LinearCode:
-    """Reed-Muller code RM(k, m) over the 2^m points in counting order.
-
-    Point j gives variable i the binary digit of weight 2^(m-1-i) of j,
-    the same convention that labels cube(m) vertices. Generators are the
-    evaluation vectors of all monomials of degree at most k, ordered by
-    degree and then by variable tuple.
-    """
-    if m < 1:
-        raise InvalidInput(f"need at least one variable, got m={m}")
-    if not 0 <= k <= m:
-        raise InvalidInput(f"order k={k} out of range for m={m}")
-    npoints = 1 << m
-    var_masks = [_bitmask(j for j in range(npoints) if (j >> (m - 1 - i)) & 1) for i in range(m)]
-    gens = []
-    for degree in range(k + 1):
-        for monomial in combinations(range(m), degree):
-            bits = (1 << npoints) - 1
-            for i in monomial:
-                bits &= var_masks[i]
-            gens.append(bits)
-    return _span(npoints, gens)
-
-
-def format_matrix(rows: Sequence[BitVector]) -> str:
-    """Render rows as '0'/'1' lines, one vector per line."""
-    return "".join(r.to01() + "\n" for r in rows)
+def format_matrix(rows: Sequence[int], width: int) -> str:
+    """Render int rows as '0'/'1' lines of ``width`` characters; character i is bit i."""
+    return "".join(bin(r)[2:].zfill(width)[::-1] + "\n" for r in rows)

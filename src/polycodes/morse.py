@@ -34,7 +34,6 @@ __all__ = [
     "HeightFunction",
     "extract_basis",
     "generic_height",
-    "height_from_objective",
     "index_histogram",
     "vertex_indices",
 ]
@@ -54,20 +53,6 @@ class HeightFunction(Record):
         for r, v in enumerate(order):
             rank[v] = r
         object.__setattr__(self, "rank", tuple(rank))
-
-
-def height_from_objective(
-    P: SimplePolytope, objective: tuple[Fraction | int, ...]
-) -> HeightFunction:
-    if P.coords is None:
-        raise Unrealized("the polytope carries no coordinates")
-    obj = tuple(Fraction(x) for x in objective)
-    if len(obj) != P.dim:
-        raise InvalidInput(f"objective has {len(obj)} entries for dimension {P.dim}")
-    values = tuple(
-        sum((c * o for c, o in zip(point, obj)), Fraction(0)) for point in P.coords
-    )
-    return HeightFunction(objective=obj, values=values)
 
 
 def _integral(point: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate, chain, islice
 from math import comb
 from operator import and_, or_
@@ -35,13 +35,12 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .errors import BudgetExceeded, InvalidInput, InvalidPolytope, TheoremViolation, _clip
-from .gf2 import BitVector, _bitmask, _ones, _popcount
+from .gf2 import _bitmask, _popcount
 
 __all__ = [
     "FHVectors",
     "Face",
     "SimplePolytope",
-    "face_indicator",
     "faces_of_codim",
     "fh_vectors",
     "is_even",
@@ -87,17 +86,11 @@ class Face(Record):
     """Face of codimension ``codim``, identified by its defining facets.
 
     Its vertices are the set bits of ``vertex_mask`` (bit v is vertex v).
-    ``vertex_set`` is the same set as a frozenset, built on first use for
-    callers at the API edge.
     """
 
     codim: int
     defining_facets: tuple[int, ...]
     vertex_mask: int
-
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(_ones(self.vertex_mask))
 
     @property
     def num_vertices(self) -> int:
@@ -401,11 +394,6 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     return P.derived(
         ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask in _walk(P, k))
     )
-
-
-def face_indicator(P: SimplePolytope, face: Face) -> BitVector:
-    """Indicator vector of the face's vertex set in GF(2)^num_vertices."""
-    return BitVector(P.num_vertices, face.vertex_mask)
 
 
 def _face_summary(P: SimplePolytope, depth: int) -> tuple[tuple[int, bool], ...]:

@@ -15,6 +15,11 @@ values in the test files were produced by these oracles.
 The small readers at the end (violation lists, edges, skeleton
 connectivity, the matrix text parser, the Reed-Muller comparison) have
 no caller in the library and live here with their tests.
+
+So do the vector fixtures, which the library once exported: the
+validated ``BitVector`` with its inner product, spans of BitVectors
+(``reduce``, ``basis``, ``contains``), the Reed-Muller codes, face
+indicators and vertex sets, and heights from a fixed objective.
 """
 
 from __future__ import annotations
@@ -23,11 +28,179 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
 import polycodes as pc
+from polycodes._record import Record
+from polycodes.gf2 import _span
+
+
+class BitVector(Record):
+    """Vector in GF(2)^length; coordinate i is bit i of ``bits``."""
+
+    length: int
+    bits: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.length, int) or self.length < 1:
+            raise pc.InvalidInput(f"vector length must be a positive integer, got {self.length!r}")
+        if not isinstance(self.bits, int) or self.bits < 0:
+            raise pc.InvalidInput(f"bit pattern must be a nonnegative integer, got {self.bits!r}")
+        object.__setattr__(self, "bits", self.bits & ((1 << self.length) - 1))
+
+    @classmethod
+    def zeros(cls, length: int) -> "BitVector":
+        return cls(length, 0)
+
+    @classmethod
+    def ones(cls, length: int) -> "BitVector":
+        return cls(length, (1 << length) - 1)
+
+    @classmethod
+    def from01(cls, text: str) -> "BitVector":
+        """Parse a '0'/'1' string; character i is coordinate i."""
+        if not text or set(text) - {"0", "1"}:
+            raise pc.InvalidInput(f"expected a nonempty string of 0s and 1s, got {text!r}")
+        return cls(len(text), sum(1 << i for i, ch in enumerate(text) if ch == "1"))
+
+    @classmethod
+    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
+        bits = 0
+        for i in support:
+            if not 0 <= i < length:
+                raise pc.InvalidInput(f"coordinate {i} out of range for length {length}")
+            bits |= 1 << i
+        return cls(length, bits)
+
+    @property
+    def weight(self) -> int:
+        return bin(self.bits).count("1")
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.bits == 0
+
+    def to01(self) -> str:
+        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
+
+    def _check_same_length(self, other: "BitVector") -> None:
+        if self.length != other.length:
+            raise pc.InvalidInput(f"length mismatch: {self.length} vs {other.length}")
+
+    def __add__(self, other: "BitVector") -> "BitVector":
+        if not isinstance(other, BitVector):
+            return NotImplemented
+        self._check_same_length(other)
+        return BitVector(self.length, self.bits ^ other.bits)
+
+    def __and__(self, other: "BitVector") -> "BitVector":
+        """Componentwise product, the idempotent AND of supports."""
+        if not isinstance(other, BitVector):
+            return NotImplemented
+        self._check_same_length(other)
+        return BitVector(self.length, self.bits & other.bits)
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.length:
+            raise IndexError(i)
+        return (self.bits >> i) & 1
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[int]:
+        return ((self.bits >> i) & 1 for i in range(self.length))
+
+    def __str__(self) -> str:
+        return self.to01()
+
+
+def inner(u: BitVector, v: BitVector) -> int:
+    """Standard bilinear form, the parity of the common support."""
+    u._check_same_length(v)
+    return bin(u.bits & v.bits).count("1") & 1
+
+
+def reduce(generators: Iterable[BitVector], *, length: int | None = None) -> pc.LinearCode:
+    """Gaussian elimination to the canonical reduced echelon basis.
+
+    ``length`` is only required when ``generators`` is empty.
+    """
+    gens = tuple(generators)
+    if length is None:
+        if not gens:
+            raise pc.InvalidInput("length is required for an empty generator set")
+        length = gens[0].length
+    for g in gens:
+        if g.length != length:
+            raise pc.InvalidInput(f"generator of length {g.length} in a code of length {length}")
+    return _span(length, (g.bits for g in gens))
+
+
+def basis(code: pc.LinearCode) -> tuple[BitVector, ...]:
+    """The code's reduced echelon rows as BitVectors."""
+    return tuple(BitVector(code.length, r) for r in code.rows)
+
+
+def contains(code: pc.LinearCode, v: BitVector) -> bool:
+    if v.length != code.length:
+        raise pc.InvalidInput(f"length mismatch: {v.length} vs {code.length}")
+    return reduce([v]).is_subspace_of(code)
+
+
+def reed_muller(k: int, m: int) -> pc.LinearCode:
+    """Reed-Muller code RM(k, m) over the 2^m points in counting order.
+
+    Point j gives variable i the binary digit of weight 2^(m-1-i) of j,
+    the same convention that labels cube(m) vertices. Generators are the
+    evaluation vectors of all monomials of degree at most k, ordered by
+    degree and then by variable tuple.
+    """
+    if m < 1:
+        raise pc.InvalidInput(f"need at least one variable, got m={m}")
+    if not 0 <= k <= m:
+        raise pc.InvalidInput(f"order k={k} out of range for m={m}")
+    npoints = 1 << m
+    var_masks = [sum(1 << j for j in range(npoints) if (j >> (m - 1 - i)) & 1) for i in range(m)]
+    gens = []
+    for degree in range(k + 1):
+        for monomial in itertools.combinations(range(m), degree):
+            bits = (1 << npoints) - 1
+            for i in monomial:
+                bits &= var_masks[i]
+            gens.append(bits)
+    return _span(npoints, gens)
+
+
+def face_indicator(P: pc.SimplePolytope, face: pc.Face) -> BitVector:
+    """Indicator vector of the face's vertex set in GF(2)^num_vertices."""
+    return BitVector(P.num_vertices, face.vertex_mask)
+
+
+def vertex_set(face: pc.Face) -> frozenset[int]:
+    """The face's vertices, the set bits of its mask."""
+    return frozenset(i for i in range(face.vertex_mask.bit_length()) if (face.vertex_mask >> i) & 1)
+
+
+def height_from_objective(
+    P: pc.SimplePolytope, objective: tuple[Fraction | int, ...]
+) -> pc.HeightFunction:
+    """The heights of P's vertices under a fixed linear objective."""
+    if P.coords is None:
+        raise pc.Unrealized("the polytope carries no coordinates")
+    obj = tuple(Fraction(x) for x in objective)
+    if len(obj) != P.dim:
+        raise pc.InvalidInput(f"objective has {len(obj)} entries for dimension {P.dim}")
+    values = tuple(
+        sum((c * o for c, o in zip(point, obj)), Fraction(0)) for point in P.coords
+    )
+    return pc.HeightFunction(objective=obj, values=values)
 
 
 def xor_span(bits: list[int]) -> set[int]:
@@ -88,7 +261,7 @@ def dual_by_bit_test(code: pc.LinearCode) -> pc.LinearCode:
 
 
 def all_codewords(code: pc.LinearCode) -> set[int]:
-    return xor_span([b.bits for b in code.basis])
+    return xor_span(list(code.rows))
 
 
 def brute_min_distance(code: pc.LinearCode) -> int:
@@ -172,7 +345,7 @@ def generic_height_by_fractions(P: pc.SimplePolytope, seed: int) -> pc.HeightFun
     for _ in range(100):
         objective = tuple(rng.randint(-bound, bound) for _ in range(P.dim))
         try:
-            return pc.height_from_objective(P, objective)
+            return height_from_objective(P, objective)
         except pc.GenericityFailure:
             bound *= 2
     raise pc.GenericityFailure("no generic objective found in 100 draws")
@@ -354,14 +527,14 @@ def outward_neighbor_map(P: pc.SimplePolytope, facet_index: int) -> OutwardMap:
 def closure_by_multisets(P: pc.SimplePolytope, k: int) -> bool:
     """Whether the products over all k-multisets of facet indicators span
     the codimension-k code, one BitVector product per multiset."""
-    indicators = [pc.BitVector.from_support(P.num_vertices, f) for f in P.facets]
+    indicators = [BitVector.from_support(P.num_vertices, f) for f in P.facets]
     products = []
     for combo in itertools.combinations_with_replacement(range(P.num_facets), k):
         bits = indicators[combo[0]]
         for i in combo[1:]:
             bits = bits & indicators[i]
         products.append(bits)
-    return pc.reduce(products, length=P.num_vertices) == pc.face_code(P, k).code
+    return reduce(products, length=P.num_vertices) == pc.face_code(P, k).code
 
 
 def _facet_profile(facets: Sequence[frozenset[int]], i: int) -> tuple:
@@ -442,37 +615,35 @@ def random_self_dual_code(rng: random.Random, length: int) -> pc.LinearCode:
     even-weight v outside C preserves self-duality.
     """
     assert length % 2 == 0 and length >= 2
-    gens = [pc.BitVector.from_support(length, (2 * i, 2 * i + 1)) for i in range(length // 2)]
-    code = pc.reduce(gens, length=length)
+    gens = [BitVector.from_support(length, (2 * i, 2 * i + 1)) for i in range(length // 2)]
+    code = reduce(gens, length=length)
     for _ in range(8):
-        v = pc.BitVector(length, rng.getrandbits(length))
+        v = BitVector(length, rng.getrandbits(length))
         if v.weight % 2 == 1:
-            v = v + pc.BitVector.from_support(length, (rng.randrange(length),))
-        if v.is_zero or code.contains(v):
+            v = v + BitVector.from_support(length, (rng.randrange(length),))
+        if v.is_zero or contains(code, v):
             continue
-        pairing = [pc.inner(b, v) for b in code.basis]
+        rows = basis(code)
+        pairing = [inner(b, v) for b in rows]
         pivot = pairing.index(1)
-        mixed = [
-            b if hit == 0 else b + code.basis[pivot]
-            for b, hit in zip(code.basis, pairing)
-        ]
+        mixed = [b if hit == 0 else b + rows[pivot] for b, hit in zip(rows, pairing)]
         mixed[pivot] = v
-        code = pc.reduce(mixed, length=length)
+        code = reduce(mixed, length=length)
         assert 2 * code.dim == length
     return code
 
 
 @st.composite
-def bitvectors(draw, max_length: int = 24) -> pc.BitVector:
+def bitvectors(draw, max_length: int = 24) -> BitVector:
     length = draw(st.integers(1, max_length))
-    return pc.BitVector(length, draw(st.integers(0, 2**length - 1)))
+    return BitVector(length, draw(st.integers(0, 2**length - 1)))
 
 
 @st.composite
-def bitvector_pairs(draw, max_length: int = 24) -> tuple[pc.BitVector, pc.BitVector]:
+def bitvector_pairs(draw, max_length: int = 24) -> tuple[BitVector, BitVector]:
     length = draw(st.integers(1, max_length))
     bits = st.integers(0, 2**length - 1)
-    return pc.BitVector(length, draw(bits)), pc.BitVector(length, draw(bits))
+    return BitVector(length, draw(bits)), BitVector(length, draw(bits))
 
 
 @st.composite
@@ -484,7 +655,7 @@ def linear_codes(
     raw = draw(
         st.lists(st.integers(0, 2**length - 1), min_size=0, max_size=max_generators)
     )
-    return pc.reduce([pc.BitVector(length, g) for g in raw], length=length)
+    return reduce([BitVector(length, g) for g in raw], length=length)
 
 
 _RECIPE_LEAVES = st.sampled_from(
@@ -560,12 +731,12 @@ def skeleton_connected(P: pc.SimplePolytope, removed: frozenset[int] = frozenset
     return len(reached) == len(alive)
 
 
-def parse_matrix(text: str) -> list[pc.BitVector]:
+def parse_matrix(text: str) -> list[BitVector]:
     """Parse the '0'/'1' line format produced by format_matrix."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise pc.InvalidInput("empty matrix")
-    rows = [pc.BitVector.from01(line.strip()) for line in lines]
+    rows = [BitVector.from01(line.strip()) for line in lines]
     if len({r.length for r in rows}) != 1:
         raise pc.InvalidInput("matrix rows have unequal lengths")
     return rows
@@ -577,4 +748,4 @@ def reed_muller_check(k: int) -> bool:
         raise pc.InvalidInput(f"order must be >= 1, got {k}")
     if 2 * k + 1 > 5:
         raise pc.BudgetExceeded(f"cube dimension {2 * k + 1} over the comparison budget 5")
-    return pc.face_code(pc.cube(2 * k + 1), k).code == pc.reed_muller(k, 2 * k + 1)
+    return pc.face_code(pc.cube(2 * k + 1), k).code == reed_muller(k, 2 * k + 1)

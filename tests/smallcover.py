@@ -3,7 +3,8 @@
 A vector coloring assigns each facet a nonzero vector of an
 r-dimensional binary vector space, encoded as an integer bitset. The
 checks here compute the numeric consequences only; no manifold is ever
-materialized.
+materialized. The library once exported these names; only the tests
+use them.
 """
 
 from __future__ import annotations
@@ -11,22 +12,11 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from ._record import Record
-from .errors import InvalidInput, TheoremViolation
-from .facecodes import Coloring, colorability_report
-from .gf2 import BitVector, _eliminate
-from .polytope import SimplePolytope, fh_vectors
+import polycodes as pc
+from polycodes._record import Record
+from polycodes.gf2 import _eliminate
 
-__all__ = [
-    "InvolutionReport",
-    "VectorColoring",
-    "admits_regular_m_involution",
-    "component_count",
-    "lift_coloring",
-    "validate_characteristic",
-    "vector_coloring_from_json",
-    "vector_coloring_to_json",
-]
+from helpers import BitVector
 
 
 class VectorColoring(Record):
@@ -37,10 +27,10 @@ class VectorColoring(Record):
 
     def __post_init__(self) -> None:
         if self.r < 1:
-            raise InvalidInput(f"ambient rank must be positive, got {self.r}")
+            raise pc.InvalidInput(f"ambient rank must be positive, got {self.r}")
         for i, c in enumerate(self.colors):
             if not 0 < c < 2**self.r:
-                raise InvalidInput(
+                raise pc.InvalidInput(
                     f"facet {i} has color {c}, outside the nonzero {self.r}-bit range"
                 )
 
@@ -49,24 +39,24 @@ def _rank(r: int, colors: Iterable[int]) -> int:
     return len(_eliminate(colors, (1 << r) - 1)[0])
 
 
-def _check_facet_count(P: SimplePolytope, mu: VectorColoring) -> None:
+def _check_facet_count(P: pc.SimplePolytope, mu: VectorColoring) -> None:
     if len(mu.colors) != P.num_facets:
-        raise InvalidInput(
+        raise pc.InvalidInput(
             f"coloring has {len(mu.colors)} colors for {P.num_facets} facets"
         )
 
 
-def validate_characteristic(P: SimplePolytope, lam: VectorColoring) -> bool:
+def validate_characteristic(P: pc.SimplePolytope, lam: VectorColoring) -> bool:
     """True iff at every vertex the dim incident facet colors are independent."""
     _check_facet_count(P, lam)
     if lam.r != P.dim:
-        raise InvalidInput(f"ambient rank {lam.r} must equal the dimension {P.dim}")
+        raise pc.InvalidInput(f"ambient rank {lam.r} must equal the dimension {P.dim}")
     return all(
         _rank(lam.r, (lam.colors[i] for i in fs)) == P.dim for fs in P.vertex_facets
     )
 
 
-def component_count(P: SimplePolytope, mu: VectorColoring) -> int:
+def component_count(P: pc.SimplePolytope, mu: VectorColoring) -> int:
     """Number of components of the glued space: 2^(r - rank of the color span)."""
     _check_facet_count(P, mu)
     return 2 ** (mu.r - _rank(mu.r, mu.colors))
@@ -78,7 +68,7 @@ class InvolutionReport(Record):
     betti: tuple[int, ...] | None
 
 
-def admits_regular_m_involution(P: SimplePolytope, lam: VectorColoring) -> InvolutionReport:
+def admits_regular_m_involution(P: pc.SimplePolytope, lam: VectorColoring) -> InvolutionReport:
     """Whether some group element acts with only isolated fixed points.
 
     This happens exactly when the coloring's image is n distinct vectors
@@ -86,22 +76,22 @@ def admits_regular_m_involution(P: SimplePolytope, lam: VectorColoring) -> Invol
     mod-2 Betti numbers are the h-vector.
     """
     if not validate_characteristic(P, lam):
-        raise InvalidInput("the coloring is not characteristic for this polytope")
+        raise pc.InvalidInput("the coloring is not characteristic for this polytope")
     image = set(lam.colors)
     admits = len(image) == P.dim and _rank(lam.r, image) == P.dim
     if not admits:
         return InvolutionReport(admits=False, fixed_points=None, betti=None)
-    report = colorability_report(P)
+    report = pc.colorability_report(P)
     if P.dim >= 3 and not report.colorable:
-        raise TheoremViolation(
+        raise pc.TheoremViolation(
             "a basis-image characteristic coloring exists on a non-colorable polytope"
         )
     return InvolutionReport(
-        admits=True, fixed_points=P.num_vertices, betti=fh_vectors(P).h
+        admits=True, fixed_points=P.num_vertices, betti=pc.fh_vectors(P).h
     )
 
 
-def lift_coloring(coloring: Coloring) -> VectorColoring:
+def lift_coloring(coloring: pc.Coloring) -> VectorColoring:
     """Send color i to the i-th standard basis vector."""
     return VectorColoring(
         r=coloring.num_colors, colors=tuple(1 << c for c in coloring.colors)
@@ -118,17 +108,17 @@ def vector_coloring_from_json(source: str) -> VectorColoring:
     try:
         data = json.loads(source)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise InvalidInput(f"bad coloring JSON: {exc}") from exc
+        raise pc.InvalidInput(f"bad coloring JSON: {exc}") from exc
     if not isinstance(data, dict) or "r" not in data or "colors" not in data:
-        raise InvalidInput("coloring JSON needs the keys 'r' and 'colors'")
+        raise pc.InvalidInput("coloring JSON needs the keys 'r' and 'colors'")
     r, texts = data["r"], data["colors"]
     if not isinstance(r, int) or isinstance(r, bool):
-        raise InvalidInput("'r' must be an integer")
+        raise pc.InvalidInput("'r' must be an integer")
     if not isinstance(texts, list):
-        raise InvalidInput("'colors' must be a list of bit strings")
+        raise pc.InvalidInput("'colors' must be a list of bit strings")
     colors = []
     for i, text in enumerate(texts):
         if not isinstance(text, str) or len(text) != r or set(text) - {"0", "1"}:
-            raise InvalidInput(f"color {i} is not a length-{r} bit string")
+            raise pc.InvalidInput(f"color {i} is not a length-{r} bit string")
         colors.append(BitVector.from01(text).bits)
     return VectorColoring(r=r, colors=tuple(colors))

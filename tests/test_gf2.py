@@ -14,27 +14,33 @@ from polycodes import gf2
 from polycodes.gf2 import _check_macwilliams
 
 from helpers import (
+    BitVector,
     all_codewords,
+    basis,
     bitvector_pairs,
     bitvectors,
     brute_min_distance,
     brute_weight_counts,
+    contains,
     dual_by_bit_test,
     eliminate_by_full_scan,
+    inner,
     linear_codes,
     parse_matrix,
     random_self_dual_code,
+    reduce,
+    reed_muller,
 )
 
 EXT_HAMMING_ROWS = ["11111111", "00001111", "00110011", "01010101"]
 
 
 def ext_hamming() -> pc.LinearCode:
-    return pc.reduce([pc.BitVector.from01(r) for r in EXT_HAMMING_ROWS])
+    return reduce([BitVector.from01(r) for r in EXT_HAMMING_ROWS])
 
 
 def test_bitvector_construction_and_accessors():
-    v = pc.BitVector.from01("10110")
+    v = BitVector.from01("10110")
     assert len(v) == 5
     assert v.to01() == "10110"
     assert v.weight == 3
@@ -46,87 +52,87 @@ def test_bitvector_construction_and_accessors():
 
 def test_bitvector_rejects_bad_shapes():
     with pytest.raises(pc.InvalidInput):
-        pc.BitVector(0, 0)
+        BitVector(0, 0)
     with pytest.raises(pc.InvalidInput):
-        pc.BitVector(3, -1)
+        BitVector(3, -1)
     with pytest.raises(pc.InvalidInput):
-        pc.BitVector.from01("10a")
+        BitVector.from01("10a")
     with pytest.raises(pc.InvalidInput):
-        pc.BitVector.from01("101") + pc.BitVector.from01("1011")
+        BitVector.from01("101") + BitVector.from01("1011")
 
 
 def test_bitvector_tail_is_masked():
-    assert pc.BitVector(3, 0b11111).bits == 0b111
+    assert BitVector(3, 0b11111).bits == 0b111
 
 
 def test_xor_and_componentwise_product():
-    u = pc.BitVector.from01("1100")
-    v = pc.BitVector.from01("1010")
+    u = BitVector.from01("1100")
+    v = BitVector.from01("1010")
     assert (u + v).to01() == "0110"
     assert (u & v).to01() == "1000"
-    ones = pc.BitVector.ones(4)
+    ones = BitVector.ones(4)
     assert (u & ones) == u
     assert (u & u) == u
 
 
 def test_inner_product_values():
-    assert pc.inner(pc.BitVector.from01("1100"), pc.BitVector.from01("1010")) == 1
-    assert pc.inner(pc.BitVector.from01("1111"), pc.BitVector.from01("0110")) == 0
+    assert inner(BitVector.from01("1100"), BitVector.from01("1010")) == 1
+    assert inner(BitVector.from01("1111"), BitVector.from01("0110")) == 0
 
 
 @given(bitvectors())
 def test_inner_with_self_is_weight_parity(v):
-    assert pc.inner(v, v) == v.weight % 2
+    assert inner(v, v) == v.weight % 2
 
 
 @given(bitvector_pairs())
 def test_inner_weight_identity_mod_4(pair):
     u, v = pair
-    assert 2 * pc.inner(u, v) % 4 == (u.weight + v.weight - (u + v).weight) % 4
+    assert 2 * inner(u, v) % 4 == (u.weight + v.weight - (u + v).weight) % 4
 
 
 def test_reduce_zero_space():
-    assert pc.reduce([pc.BitVector.from01("0000")]).dim == 0
+    assert reduce([BitVector.from01("0000")]).dim == 0
 
 
 def test_reduce_dependent_generators():
-    code = pc.reduce([pc.BitVector.from01(r) for r in ("1100", "0110", "1010")])
+    code = reduce([BitVector.from01(r) for r in ("1100", "0110", "1010")])
     assert code.dim == 2
 
 
 def test_reduce_all_weight_four_words_of_ext_hamming():
     words = [
-        pc.BitVector(8, w) for w in all_codewords(ext_hamming()) if bin(w).count("1") == 4
+        BitVector(8, w) for w in all_codewords(ext_hamming()) if bin(w).count("1") == 4
     ]
     assert len(words) == 14
-    assert pc.reduce(words).dim == 4
+    assert reduce(words).dim == 4
 
 
 def test_reduce_rejects_mixed_lengths():
     with pytest.raises(pc.InvalidInput):
-        pc.reduce([pc.BitVector.from01("101"), pc.BitVector.from01("1011")])
+        reduce([BitVector.from01("101"), BitVector.from01("1011")])
 
 
 @given(linear_codes())
 def test_reduce_basis_is_reduced_echelon(code):
-    for i, row in enumerate(code.basis):
+    for i, row in enumerate(basis(code)):
         pivot = row.support[0]
-        for j, other in enumerate(code.basis):
+        for j, other in enumerate(basis(code)):
             if i != j:
                 assert other[pivot] == 0
-    pivots = [row.support[0] for row in code.basis]
+    pivots = [row.support[0] for row in basis(code)]
     assert pivots == sorted(pivots)
 
 
 @given(linear_codes())
 def test_membership_matches_span_enumeration(code):
     words = all_codewords(code)
-    assert all(code.contains(pc.BitVector(code.length, w)) for w in words)
+    assert all(contains(code, BitVector(code.length, w)) for w in words)
     outside = next(
         (w for w in range(2**code.length) if w not in words), None
     ) if code.length <= 12 else None
     if outside is not None:
-        assert not code.contains(pc.BitVector(code.length, outside))
+        assert not contains(code, BitVector(code.length, outside))
 
 
 @given(st.data())
@@ -135,8 +141,8 @@ def test_is_subspace_of_matches_span_enumeration(data):
     other = data.draw(linear_codes(length=code.length))
     assert code.is_subspace_of(other) == (all_codewords(code) <= all_codewords(other))
     extra = data.draw(st.lists(st.integers(0, 2**code.length - 1), max_size=4))
-    wider = pc.reduce(
-        [*code.basis, *(pc.BitVector(code.length, e) for e in extra)], length=code.length
+    wider = reduce(
+        [*basis(code), *(BitVector(code.length, e) for e in extra)], length=code.length
     )
     assert code.is_subspace_of(wider)
     assert wider.is_subspace_of(code) == (all_codewords(wider) <= all_codewords(code))
@@ -144,8 +150,8 @@ def test_is_subspace_of_matches_span_enumeration(data):
 
 def test_is_subspace_of_rejects_mixed_lengths():
     with pytest.raises(pc.InvalidInput):
-        pc.reduce([pc.BitVector.from01("110")]).is_subspace_of(
-            pc.reduce([pc.BitVector.from01("1100")])
+        reduce([BitVector.from01("110")]).is_subspace_of(
+            reduce([BitVector.from01("1100")])
         )
 
 
@@ -153,15 +159,15 @@ def test_is_subspace_of_rejects_mixed_lengths():
 def test_reduce_is_independent_of_generator_order(data):
     length = data.draw(st.integers(1, 16))
     gens = [
-        pc.BitVector(length, g)
+        BitVector(length, g)
         for g in data.draw(st.lists(st.integers(0, 2**length - 1), max_size=8))
     ]
-    code = pc.reduce(gens, length=length)
+    code = reduce(gens, length=length)
     shuffled = data.draw(st.permutations(gens))
-    again = pc.reduce(shuffled, length=length)
+    again = reduce(shuffled, length=length)
     assert again == code
     assert hash(again) == hash(code)
-    assert again.basis == code.basis
+    assert basis(again) == basis(code)
 
 
 # ----------------------------------------------- elimination against the scan
@@ -227,7 +233,7 @@ def test_eliminate_on_large_prism_faces_costs_the_pivots_hit(m):
     # A factor of 10 leaves room for timing noise and still catches a
     # return to rows x rank.
     P = pc.prism(m)
-    rows = [gf2._bitmask(f.vertex_set) for f in pc.faces_of_codim(P, 2)]
+    rows = [f.vertex_mask for f in pc.faces_of_codim(P, 2)]
     full = (1 << P.num_vertices) - 1
 
     def timed(eliminate):
@@ -243,13 +249,13 @@ def test_eliminate_on_large_prism_faces_costs_the_pivots_hit(m):
 
 
 def test_dual_of_zero_space_is_full_space():
-    zero = pc.reduce([pc.BitVector.from01("0000")])
+    zero = reduce([BitVector.from01("0000")])
     assert pc.dual_code(zero).dim == 4
 
 
 def test_dual_of_all_ones_is_even_weight_space():
     for length in (2, 4, 6, 8):
-        dual = pc.dual_code(pc.reduce([pc.BitVector.ones(length)]))
+        dual = pc.dual_code(reduce([BitVector.ones(length)]))
         assert dual.dim == length - 1
         assert all(bin(w).count("1") % 2 == 0 for w in all_codewords(dual))
 
@@ -262,11 +268,11 @@ def test_dual_is_dimension_complementary_involution(code):
 
 
 def test_is_self_dual_examples():
-    assert pc.is_self_dual(pc.reduce([pc.BitVector.from01("11")])).self_dual
+    assert pc.is_self_dual(reduce([BitVector.from01("11")])).self_dual
     assert pc.is_self_dual(
-        pc.reduce([pc.BitVector.from01("1100"), pc.BitVector.from01("0011")])
+        reduce([BitVector.from01("1100"), BitVector.from01("0011")])
     ).self_dual
-    bad = pc.reduce([pc.BitVector.from01("1000"), pc.BitVector.from01("0100")])
+    bad = reduce([BitVector.from01("1000"), BitVector.from01("0100")])
     trace = pc.is_self_dual(bad)
     assert not trace.self_dual
     assert not trace.basis_orthogonal
@@ -281,20 +287,20 @@ def test_self_duality_trace_on_ext_hamming():
 
 
 def test_min_distance_examples():
-    assert pc.min_distance(pc.reduce([pc.BitVector.ones(6)])) == 6
+    assert pc.min_distance(reduce([BitVector.ones(6)])) == 6
     assert pc.min_distance(ext_hamming()) == 4
-    assert pc.min_distance(pc.reed_muller(2, 5)) == 8
+    assert pc.min_distance(reed_muller(2, 5)) == 8
 
 
 def test_min_distance_error_paths():
-    zero = pc.reduce([pc.BitVector.from01("000")])
+    zero = reduce([BitVector.from01("000")])
     with pytest.raises(pc.Undefined):
         pc.min_distance(zero)
     with pytest.raises(pc.BudgetExceeded, match=r"estimated \d+ codewords .* 2\^28 = 268435456"):
-        pc.min_distance(pc.reed_muller(3, 7))
+        pc.min_distance(reed_muller(3, 7))
     # Dimension alone does not trigger a refusal.
-    big = pc.reduce(
-        [pc.BitVector.from_support(40, (i,)) for i in range(pc.ENUMERATION_CAP + 1)]
+    big = reduce(
+        [BitVector.from_support(40, (i,)) for i in range(pc.ENUMERATION_CAP + 1)]
     )
     assert pc.min_distance(big) == 1
 
@@ -323,8 +329,8 @@ def test_min_distance_walks_small_codes_without_information_sets(monkeypatch):
     monkeypatch.setattr(
         gf2, "_information_sets", lambda code: built.append(code.dim) or information_sets(code)
     )
-    assert pc.min_distance(pc.reed_muller(1, 7)) == 64  # 255 nonzero codewords
-    assert pc.min_distance(pc.reed_muller(1, 8)) == 128  # 511
+    assert pc.min_distance(reed_muller(1, 7)) == 64  # 255 nonzero codewords
+    assert pc.min_distance(reed_muller(1, 8)) == 128  # 511
     assert built == [9]
 
 
@@ -354,15 +360,15 @@ def sparse_codes(rng: random.Random, count: int) -> list[pc.LinearCode]:
     for _ in range(count):
         n = rng.randint(16, 24)
         gens = [
-            pc.BitVector.from_support(n, [i for i in range(n) if rng.random() < 0.3])
+            BitVector.from_support(n, [i for i in range(n) if rng.random() < 0.3])
             for _ in range(rng.choice((n // 2 - 1, n // 2)))
         ]
-        codes.append(pc.reduce(gens, length=n))
+        codes.append(reduce(gens, length=n))
     return codes
 
 
 def test_min_distance_matches_walk_on_rank_deficient_codes():
-    fixed = pc.reduce([pc.BitVector.from01(r) for r in RANK_DEFICIENT_ROWS])
+    fixed = reduce([BitVector.from01(r) for r in RANK_DEFICIENT_ROWS])
     assert [rank for rank, _ in gf2._information_sets(fixed)] == [11, 9, 3]
     assert (fixed.length, fixed.dim, pc.min_distance(fixed)) == (23, 11, 3)
     for code in [fixed, *sparse_codes(random.Random(2026101802), 400)]:
@@ -405,7 +411,7 @@ def brute_doubly_even(code: pc.LinearCode) -> bool:
 
 
 def test_weight_enumerator_examples():
-    we = pc.weight_enumerator(pc.reduce([pc.BitVector.ones(8)]))
+    we = pc.weight_enumerator(reduce([BitVector.ones(8)]))
     assert we.counts == {0: 1, 8: 1}
     assert we.doubly_even
     he = pc.weight_enumerator(ext_hamming())
@@ -425,8 +431,8 @@ def test_weight_enumerator_matches_brute_force(code):
 def test_doubly_even_basis_test_needs_orthogonal_rows():
     # Both basis rows have weight 4, but they meet in 3 coordinates, so
     # their sum 11000000 has weight 2.
-    code = pc.reduce([pc.BitVector.from01("10111000"), pc.BitVector.from01("01111000")])
-    assert [r.to01() for r in code.basis] == ["10111000", "01111000"]
+    code = reduce([BitVector.from01("10111000"), BitVector.from01("01111000")])
+    assert [r.to01() for r in basis(code)] == ["10111000", "01111000"]
     assert not gf2._doubly_even(code.rows) and not brute_doubly_even(code)
 
 
@@ -457,7 +463,7 @@ def test_doubly_even_basis_test_on_random_self_dual_codes():
 
 def test_weight_enumerator_refuses_over_the_budget_before_walking(monkeypatch):
     monkeypatch.setattr(gf2, "_nonzero_weights", lambda code: pytest.fail("walked"))
-    code = pc.reduce([pc.BitVector.from_support(29, (i,)) for i in range(29)])
+    code = reduce([BitVector.from_support(29, (i,)) for i in range(29)])
     with pytest.raises(
         pc.BudgetExceeded,
         match=r"^walking 2\^29 = 536870912 codewords is over the budget of 2\^28 = 268435456$",
@@ -467,7 +473,7 @@ def test_weight_enumerator_refuses_over_the_budget_before_walking(monkeypatch):
 
 def test_weight_enumerator_macwilliams_invariance(monkeypatch):
     assert pc.weight_enumerator(ext_hamming()).counts == {0: 1, 4: 14, 8: 1}
-    rm25 = pc.weight_enumerator(pc.reed_muller(2, 5))
+    rm25 = pc.weight_enumerator(reed_muller(2, 5))
     assert rm25.counts == {0: 1, 8: 620, 12: 13888, 16: 36518, 20: 13888, 24: 620, 32: 1}
     with pytest.raises(pc.TheoremViolation, match="MacWilliams"):
         _check_macwilliams({0: 1, 4: 13, 8: 2}, 8, 4)
@@ -486,34 +492,33 @@ def test_self_dual_codes_have_even_weights_and_even_min_distance():
         assert trace.self_dual
         assert all(w % 2 == 0 for w in pc.weight_enumerator(code).counts)
         assert pc.min_distance(code) % 2 == 0
-        for x in code.basis:
-            for y in code.basis:
+        for x in basis(code):
+            for y in basis(code):
                 assert (x & y).weight % 2 == 0
 
 
 def test_reed_muller_shapes_and_values():
-    rm03 = pc.reed_muller(0, 3)
-    assert rm03.dim == 1 and rm03.contains(pc.BitVector.ones(8))
-    rm13 = pc.reed_muller(1, 3)
+    rm03 = reed_muller(0, 3)
+    assert rm03.dim == 1 and contains(rm03, BitVector.ones(8))
+    rm13 = reed_muller(1, 3)
     assert rm13.dim == 4
     assert pc.min_distance(rm13) == 4
     assert rm13 == ext_hamming()
-    rm25 = pc.reed_muller(2, 5)
+    rm25 = reed_muller(2, 5)
     assert rm25.dim == 16 and rm25.length == 32
 
 
 def test_reed_muller_rejects_bad_order():
     with pytest.raises(pc.InvalidInput):
-        pc.reed_muller(3, 2)
+        reed_muller(3, 2)
     with pytest.raises(pc.InvalidInput):
-        pc.reed_muller(-1, 2)
+        reed_muller(-1, 2)
 
 
 def test_matrix_format_roundtrip():
-    rows = [pc.BitVector.from01("101"), pc.BitVector.from01("010")]
-    text = pc.format_matrix(rows)
+    text = pc.format_matrix([0b101, 0b010], 3)
     assert text == "101\n010\n"
-    assert parse_matrix(text) == rows
+    assert parse_matrix(text) == [BitVector.from01("101"), BitVector.from01("010")]
     with pytest.raises(pc.InvalidInput):
         parse_matrix("10\n1\n")
     with pytest.raises(pc.InvalidInput):
@@ -522,8 +527,5 @@ def test_matrix_format_roundtrip():
 
 @given(st.integers(1, 20), st.data())
 def test_format_parse_roundtrip_random(length, data):
-    rows = [
-        pc.BitVector(length, data.draw(st.integers(0, 2**length - 1)))
-        for _ in range(data.draw(st.integers(1, 5)))
-    ]
-    assert parse_matrix(pc.format_matrix(rows)) == rows
+    rows = [data.draw(st.integers(0, 2**length - 1)) for _ in range(data.draw(st.integers(1, 5)))]
+    assert parse_matrix(pc.format_matrix(rows, length)) == [BitVector(length, r) for r in rows]

@@ -1,8 +1,9 @@
 """Records behave as the frozen dataclasses they replaced.
 
-Every Record subclass in the package is compared with a twin made by
-``dataclasses.make_dataclass(..., frozen=True)`` from the same fields
-and defaults, on instances the package itself builds.
+Every Record subclass, in the package and in the test fixtures, is
+compared with a twin made by ``dataclasses.make_dataclass(...,
+frozen=True)`` from the same fields and defaults, on instances the
+package and the fixtures build.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import pytest
 import polycodes as pc
 from polycodes._record import Record
 
+from helpers import BitVector
+from smallcover import VectorColoring, admits_regular_m_involution, lift_coloring
+
 ERRORS = (pc.InvalidInput, pc.GenericityFailure)
 
 
@@ -24,7 +28,7 @@ def sample_records() -> list[Record]:
     code = pc.face_code(P, 1).code
     law = pc.dimension_law_check(P)
     verdicts = [pc.realizability_screen(*a) for a in [(8, 4, True), (8, 2, False), (10, 4, False)]]
-    lam = pc.lift_coloring(pc.find_coloring(P))
+    lam = lift_coloring(pc.find_coloring(P))
     return [
         P,
         Q,
@@ -32,8 +36,8 @@ def sample_records() -> list[Record]:
         *pc.faces_of_codim(P, 1)[:2],
         pc.fh_vectors(P),
         pc.fh_vectors(Q),
-        pc.BitVector(5, 9),
-        pc.BitVector(3),
+        BitVector(5, 9),
+        BitVector(3),
         pc.face_code(P, 1),
         pc.face_code(Q, 2),
         code,
@@ -58,9 +62,9 @@ def sample_records() -> list[Record]:
         pc.parse_recipe("product (polygon 4) (cube 2)"),
         *pc.corpus()[:2],
         lam,
-        pc.VectorColoring(3, (1, 2, 4, 7, 7)),
-        pc.admits_regular_m_involution(P, lam),
-        pc.admits_regular_m_involution(Q, pc.VectorColoring(3, (1, 2, 3, 1, 2, 3, 4, 4))),
+        VectorColoring(3, (1, 2, 4, 7, 7)),
+        admits_regular_m_involution(P, lam),
+        admits_regular_m_involution(Q, VectorColoring(3, (1, 2, 3, 1, 2, 3, 4, 4))),
         pc.generic_height(P, 0),
         pc.generic_height(Q, 1),
     ]
@@ -145,7 +149,7 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls):
 
 
 def test_records_of_different_classes_or_tuples_are_unequal():
-    a, b = pc.Coloring(3, (1, 2)), pc.VectorColoring(3, (1, 2))
+    a, b = pc.Coloring(3, (1, 2)), VectorColoring(3, (1, 2))
     assert a._values(a) == b._values(b) == (3, (1, 2))
     assert a != b and b != a and a != (3, (1, 2))
 
@@ -174,15 +178,15 @@ def test_height_rank_takes_no_part_in_equality_hash_or_repr():
 @pytest.mark.parametrize(
     "make, error",
     [
-        (lambda: pc.BitVector(0), pc.InvalidInput),
-        (lambda: pc.BitVector(3, -1), pc.InvalidInput),
+        (lambda: BitVector(0), pc.InvalidInput),
+        (lambda: BitVector(3, -1), pc.InvalidInput),
         (lambda: pc.ScreenVerdict("Maybe", (), None), pc.InvalidInput),
         (lambda: pc.ScreenVerdict("Infeasible", (), None), pc.InvalidInput),
         (lambda: pc.ScreenVerdict("Unknown", (), pc.parse_recipe("cube 3")), pc.InvalidInput),
         (lambda: pc.HeightFunction((Fraction(1),), (Fraction(0), Fraction(0))), pc.GenericityFailure),
-        (lambda: pc.VectorColoring(0, ()), pc.InvalidInput),
-        (lambda: pc.VectorColoring(2, (1, 4)), pc.InvalidInput),
-        (lambda: pc.BitVector(2, 1)._replace(length=0), pc.InvalidInput),
+        (lambda: VectorColoring(0, ()), pc.InvalidInput),
+        (lambda: VectorColoring(2, (1, 4)), pc.InvalidInput),
+        (lambda: BitVector(2, 1)._replace(length=0), pc.InvalidInput),
     ],
 )
 def test_post_init_validators_still_raise(make, error):
@@ -191,5 +195,5 @@ def test_post_init_validators_still_raise(make, error):
 
 
 def test_post_init_still_completes_a_record():
-    assert pc.BitVector(3, 0b11111).bits == 0b111
-    assert pc.BitVector(3, 0b1111)._replace(length=2).bits == 0b11
+    assert BitVector(3, 0b11111).bits == 0b111
+    assert BitVector(3, 0b1111)._replace(length=2).bits == 0b11

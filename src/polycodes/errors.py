@@ -14,12 +14,20 @@ __all__ = [
 ]
 
 
+def _digits(n: int) -> str:
+    """``str(n)``, or the power of two next to n when n is past the 4,300 digits ``str`` converts."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about {'-' if n < 0 else ''}2^{abs(n).bit_length() - 1}"
+
+
 def _clip(token: object, limit: int = 80) -> str:
     """``str(token)``, cut to ``limit`` characters ending in '...' when longer.
 
     Messages clip every token they echo, so no message grows with its input.
     """
-    text = str(token)
+    text = _digits(token) if isinstance(token, int) else str(token)
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

@@ -9,7 +9,7 @@ TheoremViolation when the routes disagree.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import Inapplicable, InvalidInput, TheoremViolation
+from .errors import Inapplicable, InvalidInput, TheoremViolation, _clip
 from .gf2 import (
     LinearCode,
     SelfDualityTrace,
@@ -319,7 +319,7 @@ def circ_closure_check(P: SimplePolytope, k: int) -> bool:
     if not is_even(P):
         raise Inapplicable("product closure requires an even polytope")
     if not 1 <= k <= P.dim:
-        raise InvalidInput(f"codimension {k} out of range 1..{P.dim}")
+        raise InvalidInput(f"codimension {_clip(k)} out of range 1..{P.dim}")
     products = [f.vertex_mask for j in range(1, k + 1) for f in faces_of_codim(P, j)]
     return _span(P.num_vertices, products) == face_code(P, k).code
 

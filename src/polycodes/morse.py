@@ -17,7 +17,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from ._record import Record
-from .errors import GenericityFailure, InvalidInput, TheoremViolation, Unrealized
+from .errors import GenericityFailure, InvalidInput, TheoremViolation, Unrealized, _clip
 from .facecodes import face_code
 from .gf2 import _ones, _span
 from .polytope import (
@@ -134,7 +134,7 @@ def extract_basis(
     lowest vertex of its face, which is what forces independence.
     """
     if not 0 <= k <= P.dim:
-        raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
+        raise InvalidInput(f"codimension {_clip(k)} out of range 0..{P.dim}")
     _check_height(P, phi)
     rank, n, vf, masks, left = phi.rank, P.dim, P.vertex_facets, _facet_masks(P), _edge_facets(P)
     selected: list[tuple[int, Face]] = []

@@ -34,7 +34,7 @@ from operator import and_, or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._record import Record
-from .errors import BudgetExceeded, InvalidInput, InvalidPolytope, TheoremViolation, _clip
+from .errors import BudgetExceeded, InvalidInput, InvalidPolytope, _clip
 from .gf2 import _bitmask, _popcount
 
 __all__ = [
@@ -390,7 +390,7 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     face per vertex.
     """
     if not 0 <= k <= P.dim:
-        raise InvalidInput(f"codimension {k} out of range 0..{P.dim}")
+        raise InvalidInput(f"codimension {_clip(k)} out of range 0..{P.dim}")
     return P.derived(
         ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask in _walk(P, k))
     )
@@ -413,7 +413,9 @@ def fh_vectors(P: SimplePolytope) -> FHVectors:
 
     f is read from the face-walk summary. h is recovered from
     sum_i f_i (t-1)^(n-i) = sum_i h_i t^(n-i) with exact integer
-    arithmetic; its symmetry is asserted.
+    arithmetic. The h-vector of every simple polytope is symmetric
+    (Dehn-Sommerville), so incidence data with an asymmetric one is no
+    polytope and raises InvalidPolytope.
     """
 
     def build() -> FHVectors:
@@ -424,10 +426,10 @@ def fh_vectors(P: SimplePolytope) -> FHVectors:
             for i in range(n + 1)
         )
         if h != h[::-1]:
-            raise TheoremViolation(
-                f"h-vector {h} is not symmetric; "
+            raise InvalidPolytope([
+                f"h-vector {_clip(h)} is not symmetric; "
                 "the incidence data cannot come from a simple polytope"
-            )
+            ])
         return FHVectors(f=f, h=h)
 
     return P.derived("fh", build)

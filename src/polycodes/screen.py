@@ -13,7 +13,7 @@ from typing import Callable
 
 from ._record import Record
 from .constructors import Recipe
-from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation
+from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation, _clip, _digits
 from .facecodes import face_code
 from .gf2 import LinearCode, _doubly_even, is_self_dual, min_distance
 
@@ -56,7 +56,7 @@ def mallows_sloane(l: int) -> tuple[int, Callable[[LinearCode], bool]]:
     so other lengths are rejected as Inapplicable.
     """
     if not isinstance(l, int) or l <= 0:
-        raise InvalidInput(f"length must be a positive integer, got {l!r}")
+        raise InvalidInput(f"length must be a positive integer, got {_clip(repr(l))}")
     if l % 8 != 0:
         raise Inapplicable(f"the extremal bound needs length divisible by 8, got {l}")
     bound = 4 * (l // 24) + 4
@@ -77,7 +77,7 @@ def _verify_witness(recipe: Recipe, l: int, d: int, doubly_even: bool) -> Screen
     pairs = (l // 2) * (l // 2 + 1) // 2
     if pairs > 1 << _WITNESS_PAIRS_BITS:
         raise BudgetExceeded(
-            f"verifying the witness {recipe.text()} needs {pairs} basis row pairs "
+            f"verifying the witness {_clip(recipe.text())} needs {_clip(pairs)} basis row pairs "
             f"tested for orthogonality, over the budget of "
             f"2^{_WITNESS_PAIRS_BITS} = {1 << _WITNESS_PAIRS_BITS}"
         )
@@ -116,7 +116,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
     if not isinstance(l, int) or not isinstance(d, int):
         raise InvalidInput("length and minimum distance must be integers")
     if l < 2 or d < 2:
-        raise InvalidInput(f"need length >= 2 and distance >= 2, got ({l}, {d})")
+        raise InvalidInput(f"need length >= 2 and distance >= 2, got ({_clip(l)}, {_clip(d)})")
     trace: list[ScreenRule] = []
     if l % 2 == 1 or d % 2 == 1:
         trace.append(
@@ -169,7 +169,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
                 ScreenRule(
                     rule="face-growth",
                     statement="the vertex count is at least 2^k times the vertex count of any codimension-k face, and each face indicator is a nonzero codeword",
-                    instantiation=f"n={n}: {d} * 2^{k} = {d * 2 ** k} > {l}",
+                    instantiation=f"n={n}: {d} * 2^{k} = {_digits(d * 2 ** k)} > {l}",
                 )
             )
             continue
@@ -201,9 +201,10 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
     return ScreenVerdict(status="Unknown", trace=tuple(trace), witness=None)
 
 
-def _admissible(lo: int, hi: int, doubly_even: bool) -> list[int]:
+def _admissible(lo: int, hi: int, doubly_even: bool) -> range:
+    """The sizes in [lo, hi] divisible by 4 (doubly even) or 2, as a range: l may be huge."""
     step = 4 if doubly_even else 2
-    return [s for s in range(lo, hi + 1) if s % step == 0]
+    return range(lo + (-lo) % step, hi + 1, step)
 
 
 def _dimension_five_survives(
@@ -222,7 +223,7 @@ def _dimension_five_survives(
             )
         )
         return False
-    if len(ridge_sizes) > 1:
+    if len(ridge_sizes[:2]) > 1:  # len() of a huge range overflows
         return True
     s = ridge_sizes[0]
     kept = []

@@ -510,6 +510,30 @@ def test_long_recipe_tokens_give_a_short_error_line(source, capsys):
     assert err.count("\n") == 1 and len(err) <= 600
 
 
+_NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["code", "cube 3", "-k", _NINES], 1),
+        (["mindist", "cube 3", "-k", _NINES], 1),
+        (["selfdual", "cube 3", "-k", _NINES], 1),
+        (["morse", "cube 3", "-k", _NINES], 1),
+        (["screen", "--length", "-" + _NINES, "--mindist", "2"], 1),
+        (["screen", "--length", "8", "--mindist", "-" + _NINES], 1),
+        # A prism witness for a length of 4,000 digits: its l^2/8 row pairs
+        # are past the digits str() converts.
+        (["screen", "--length", "4" + "0" * 3998 + "4", "--mindist", "4"], 2),
+    ],
+    ids=lambda a: " ".join(a)[:24] if isinstance(a, list) else str(a),
+)
+def test_long_integer_options_give_a_short_error_line(argv, rc, capsys):
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 300, err[:300]
+
+
 def test_usage_errors_clip_the_values_they_echo(capsys):
     assert main(["code", "cube 3", "-k", "y" * 1000]) == 1
     err = capsys.readouterr().err
@@ -602,10 +626,10 @@ def test_theorem_violation_exits_3(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("theorem check failed:")
 
 
-def test_asymmetric_h_vector_in_a_file_exits_3(tmp_path, capsys):
+def test_asymmetric_h_vector_in_a_file_exits_1(tmp_path, capsys):
     path = tmp_path / "heawood.json"
     path.write_text(json.dumps({"dim": 3, "facets": heawood_torus_facets()}))
-    assert main(["info", str(path)]) == 3
+    assert main(["info", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "h-vector (1, 4, 10, -1) is not symmetric" in captured.err
@@ -627,10 +651,11 @@ def test_console_script_is_wired():
 
 # --------------------------------------------------------------------- fuzz
 
-# Integers stay small, so every drawn job finishes in milliseconds.
-_small_ints = st.integers(-2, 6).map(str)
+# Integers are small, so every drawn job finishes in milliseconds, or up
+# to 4,000 digits, which every echo of them must clip.
+_ints = st.one_of(st.integers(-2, 6), st.integers(-(10**4000), 10**4000)).map(str)
 _recipe_tokens = st.one_of(
-    _small_ints,
+    _ints,
     st.sampled_from(
         ["(", ")", "cube", "prism", "polygon", "simplex", "segment", "product", "vcut"]
         + ["dualcyclic", "dualcyclic57", "-", "x" * 300, "9" * 400]
@@ -640,9 +665,9 @@ _recipe_tokens = st.one_of(
 _recipes = st.one_of(
     st.lists(_recipe_tokens, max_size=8).map(" ".join),
     st.builds(
-        "{} {}".format, st.sampled_from(["cube", "prism", "polygon", "simplex", "dualcyclic 3"]), _small_ints
+        "{} {}".format, st.sampled_from(["cube", "prism", "polygon", "simplex", "dualcyclic 3"]), _ints
     ),
-    st.builds("vcut (prism {}) {}".format, _small_ints, _small_ints),
+    st.builds("vcut (prism {}) {}".format, _ints, _ints),
 )
 # Per subcommand: the options it requires, and those it also takes.
 _OPTIONS = {
@@ -673,7 +698,7 @@ def _argvs(draw) -> list[str]:
         if flag == "--suite":
             argv.append(draw(st.sampled_from(["all", "colorability", "morse", "nope"])))
         elif flag in ("-k", "--seed", "--length", "--mindist"):
-            argv.append(draw(_small_ints))
+            argv.append(draw(_ints))
     return argv + ([] if draw(st.integers(0, 4)) else [draw(_recipe_tokens)])  # a stray token
 
 

@@ -197,6 +197,15 @@ def test_dual_cyclic_polytopes_through_every_check(d, m):
         assert pc.face_code(P, k).code.dim >= sum(h[: k + 1])
 
 
+@pytest.mark.parametrize("d, m", [(5, 7), *DUAL_CYCLIC])
+def test_dual_cyclic_h_vectors_meet_the_upper_bound_theorem(d, m):
+    # The cyclic polytope is neighborly, so its polar C*(d, m) meets the
+    # Upper Bound Theorem with equality: h_i = C(m - d - 1 + i, i) for
+    # i <= d/2 (McMullen 1970; Ziegler, Lectures on Polytopes, 8.4).
+    h = pc.fh_vectors(pc.dual_cyclic(d, m)).h
+    assert h[: d // 2 + 1] == tuple(math.comb(m - d - 1 + i, i) for i in range(d // 2 + 1))
+
+
 def test_dual_cyclic_4_7_code_dimensions_break_the_inclusion_chain():
     P = pc.dual_cyclic(4, 7)
     assert [pc.face_code(P, k).code.dim for k in range(5)] == [1, 6, 14, 13, 14]
@@ -408,6 +417,8 @@ def test_circ_closure_guards():
         pc.circ_closure_check(pc.cube(3), 0)
     with pytest.raises(pc.InvalidInput):
         pc.circ_closure_check(pc.cube(3), 4)
+    with pytest.raises(pc.InvalidInput, match=r"^codimension 9{77}\.\.\. out of range 1\.\.3$"):
+        pc.circ_closure_check(pc.cube(3), int("9" * 4000))
 
 
 # --------------------------------------------------------------- distances

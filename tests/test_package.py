@@ -28,6 +28,38 @@ def test_package_all_is_the_union_of_the_module_all_lists():
     assert callable(pc.corpus)
 
 
+def test_every_public_name_is_used_outside_the_tests():
+    # No public name exists only for the tests: each one is read somewhere
+    # in the library, the scripts or the benchmark, other than in its own
+    # definition and its __all__ entry. The benchmark worker names the
+    # functions it traces as strings, so exact string constants count.
+    root = Path(pc.__file__).resolve().parents[2]
+    paths = [Path(pc.__file__).parent, root / "scripts", root / "perfbench"]
+    used = set()
+    for path in sorted(p for folder in paths for p in folder.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        listed = {
+            id(n)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for n in ast.walk(node)
+        }
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    name = n.id
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in listed:
+                    name = n.value
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert sorted(set(pc.__all__) - used) == []
+
+
 def test_only_the_polytope_module_walks_the_face_lattice():
     # Face counts and parities have one owner: other modules read the
     # walk's results, never the walk itself.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import polycodes as pc
-from polycodes.screen import _verify_witness
+from polycodes.screen import _admissible, _verify_witness
 
 
 def rule_ids(verdict: pc.ScreenVerdict) -> list[str]:
@@ -106,6 +106,25 @@ def test_screen_rejects_bad_input():
         pc.realizability_screen("8", 4, False)
     with pytest.raises(pc.InvalidInput):
         pc.realizability_screen(8, 4.0, False)
+
+
+def test_admissible_sizes_match_the_filtered_interval():
+    for lo in range(30):
+        for hi in range(-2, 40):
+            for doubly_even in (False, True):
+                step = 4 if doubly_even else 2
+                expected = [s for s in range(lo, hi + 1) if s % step == 0]
+                assert list(_admissible(lo, hi, doubly_even)) == expected
+
+
+@pytest.mark.parametrize("l", [10**30, 10**300])
+def test_screen_answers_huge_lengths_without_listing_sizes(l):
+    # Dimension 5 survives with about l/8 admissible ridge sizes, which are
+    # a range: a list of them could not be built.
+    v = pc.realizability_screen(l, 4, False)
+    assert v.status == "Unknown"
+    assert rule_ids(v) == ["candidate-dimensions", "segment-only", "open"]
+    assert v.trace[-1].instantiation.startswith("surviving dimensions: [3, 5, 7, ")
 
 
 # -------------------------------------------------------- verdict invariants
@@ -216,6 +235,8 @@ def test_extremal_bound_guards():
         pc.mallows_sloane(0)
     with pytest.raises(pc.InvalidInput):
         pc.mallows_sloane(-8)
+    with pytest.raises(pc.InvalidInput, match=r"^length must be a positive integer, got -9{76}\.\.\.$"):
+        pc.mallows_sloane(-int("9" * 4000))
     _, is_extremal = pc.mallows_sloane(8)
     with pytest.raises(pc.InvalidInput):
         is_extremal(pc.face_code(pc.prism(8), 1).code)

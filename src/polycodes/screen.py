@@ -58,7 +58,7 @@ def mallows_sloane(l: int) -> tuple[int, Callable[[LinearCode], bool]]:
     if not isinstance(l, int) or l <= 0:
         raise InvalidInput(f"length must be a positive integer, got {_clip(repr(l))}")
     if l % 8 != 0:
-        raise Inapplicable(f"the extremal bound needs length divisible by 8, got {l}")
+        raise Inapplicable(f"the extremal bound needs length divisible by 8, got {_clip(l)}")
     bound = 4 * (l // 24) + 4
 
     def is_extremal(code: LinearCode) -> bool:

@@ -51,10 +51,6 @@ class BitVector(Record):
         object.__setattr__(self, "bits", self.bits & ((1 << self.length) - 1))
 
     @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length, 0)
-
-    @classmethod
     def ones(cls, length: int) -> "BitVector":
         return cls(length, (1 << length) - 1)
 

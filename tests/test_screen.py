@@ -127,6 +127,15 @@ def test_screen_answers_huge_lengths_without_listing_sizes(l):
     assert v.trace[-1].instantiation.startswith("surviving dimensions: [3, 5, 7, ")
 
 
+def test_face_growth_shows_products_past_the_str_limit_as_powers_of_two():
+    d = 10**4299  # 4,300 digits, the most str() converts; 16 * d has one more
+    v = pc.realizability_screen(2**20, d, False)
+    growth = [r.instantiation for r in v.trace if r.rule == "face-growth"]
+    assert v.status == "Infeasible" and len(growth) == 8  # n = 5, 7, ..., 19
+    assert growth[0] == f"n=5: {d} * 2^2 = {4 * d} > {2**20}"
+    assert growth[2] == f"n=9: {d} * 2^4 = about 2^{(16 * d).bit_length() - 1} > {2**20}"
+
+
 # -------------------------------------------------------- verdict invariants
 
 

@@ -21,13 +21,13 @@ def middle_code_row(P: pc.SimplePolytope) -> str:
         return "-"
     k = (P.dim - 1) // 2
     code = pc.face_code(P, k).code
-    trace = pc.is_self_dual(code)
+    self_dual = pc.is_self_dual(code)
     try:
         d = str(pc.min_distance(code))
     except pc.BudgetExceeded:
         d = "?"
     tags = []
-    if trace.self_dual:
+    if self_dual:
         tags.append("self-dual")
     if pc.doubly_even_report(P).doubly_even:
         tags.append("doubly-even")

@@ -118,20 +118,20 @@ def _cmd_code(args: argparse.Namespace) -> int:
         rows = format_matrix(code_matrix(P, args.k), len(fc.faces)).splitlines()
         _emit(args, {"codimension": args.k, "rows": rows}, rows)
         return 0
-    trace = is_self_dual(fc.code)
+    self_dual = is_self_dual(fc.code)
     payload = {
         "codimension": args.k,
         "faces": len(fc.faces),
         "length": fc.code.length,
         "dimension": fc.code.dim,
-        "self_dual": trace.self_dual,
+        "self_dual": self_dual,
     }
     text = [
         f"codimension: {args.k}",
         f"faces: {len(fc.faces)}",
         f"length: {fc.code.length}",
         f"dimension: {fc.code.dim}",
-        f"self-dual: {'yes' if trace.self_dual else 'no'}",
+        f"self-dual: {'yes' if self_dual else 'no'}",
     ]
     _emit(args, payload, text)
     return 0

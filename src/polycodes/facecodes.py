@@ -12,7 +12,6 @@ from ._record import Record
 from .errors import Inapplicable, InvalidInput, TheoremViolation, _clip
 from .gf2 import (
     LinearCode,
-    SelfDualityTrace,
     _doubly_even,
     _ones,
     _span,
@@ -157,7 +156,6 @@ class ColorabilityReport(Record):
     colorable: bool
     coloring: Coloring | None
     degenerate_dimension: bool
-    criteria: dict[str, bool] | None
 
 
 def colorability_report(P: SimplePolytope) -> ColorabilityReport:
@@ -166,6 +164,8 @@ def colorability_report(P: SimplePolytope) -> ColorabilityReport:
     Below dimension 3 the equivalences break down (odd polygons satisfy
     the dimension formula without being 2-colorable), so only the direct
     coloring runs and the report carries a degenerate-dimension flag.
+    Incidence data with an asymmetric h-vector is no polytope and raises
+    InvalidPolytope before the criteria are compared.
     """
     coloring = find_coloring(P)
     if P.dim < 3:
@@ -173,10 +173,10 @@ def colorability_report(P: SimplePolytope) -> ColorabilityReport:
             colorable=coloring is not None,
             coloring=coloring,
             degenerate_dimension=True,
-            criteria=None,
         )
     n = P.dim
     codes = [face_code(P, k).code for k in range(n + 1)]
+    fh_vectors(P)  # no new walk: the codes above completed the summary it reads
     criteria = {
         "coloring_found": coloring is not None,
         "perfect_cover_partition": _perfect_cover_partition(P, coloring),
@@ -194,14 +194,12 @@ def colorability_report(P: SimplePolytope) -> ColorabilityReport:
         colorable=values.pop(),
         coloring=coloring,
         degenerate_dimension=False,
-        criteria=criteria,
     )
 
 
 class DimensionLawRow(Record):
     codim: int
     dim: int
-    partial_h_sum: int
     self_dual: bool
 
 
@@ -228,14 +226,7 @@ def dimension_law_check(P: SimplePolytope) -> DimensionLaw:
             raise TheoremViolation(
                 f"dim of codimension-{k} code is {code.dim}, expected {partial}"
             )
-        rows.append(
-            DimensionLawRow(
-                codim=k,
-                dim=code.dim,
-                partial_h_sum=partial,
-                self_dual=is_self_dual(code).self_dual,
-            )
-        )
+        rows.append(DimensionLawRow(codim=k, dim=code.dim, self_dual=is_self_dual(code)))
     self_dual_codims = tuple(r.codim for r in rows if r.self_dual)
     expected = ((n - 1) // 2,) if n % 2 == 1 else ()
     if self_dual_codims != expected:
@@ -251,7 +242,6 @@ class SelfDualReport(Record):
     half_dimension: bool
     face_parity_ok: bool
     parity_by_codim: tuple[tuple[int, bool], ...]
-    trace: SelfDualityTrace
 
 
 def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
@@ -266,20 +256,20 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
     """
     n = P.dim
     fc = face_code(P, k)
-    trace = is_self_dual(fc.code)
-    half = trace.half_dimension
+    self_dual = is_self_dual(fc.code)
+    half = 2 * fc.code.dim == fc.code.length
     summary = _face_summary(P, min(2 * k, n))
     parity_rows = [(c, ok) for c, (_, ok) in enumerate(summary) if c >= k]
     parity_ok = all(ok for _, ok in parity_rows)
     if 2 * k > n:
         # The parity range is cut off at the vertices, whose count of 1 is odd.
         parity_ok = False
-    if (half and parity_ok) != trace.self_dual:
+    if (half and parity_ok) != self_dual:
         raise TheoremViolation(
             f"self-duality routes disagree at codimension {k}: "
-            f"half={half} parity={parity_ok} direct={trace.self_dual}"
+            f"half={half} parity={parity_ok} direct={self_dual}"
         )
-    if trace.self_dual and n >= 3:
+    if self_dual and n >= 3:
         ones = _span(P.num_vertices, [(1 << P.num_vertices) - 1])
         if not ones.is_subspace_of(fc.code):
             raise TheoremViolation("self-dual face code without the all-ones vector")
@@ -287,11 +277,10 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
             raise TheoremViolation(f"self-dual face code at impossible codimension {k}")
     return SelfDualReport(
         codim=k,
-        self_dual=trace.self_dual,
+        self_dual=self_dual,
         half_dimension=half,
         face_parity_ok=parity_ok,
         parity_by_codim=tuple(parity_rows),
-        trace=trace,
     )
 
 
@@ -347,7 +336,6 @@ def min_distance_bound_check(P: SimplePolytope) -> tuple[int, int]:
 class DoublyEvenReport(Record):
     codim: int
     doubly_even: bool
-    face_sizes_divisible_by_4: bool
 
 
 def doubly_even_report(P: SimplePolytope) -> DoublyEvenReport:
@@ -368,4 +356,4 @@ def doubly_even_report(P: SimplePolytope) -> DoublyEvenReport:
         raise TheoremViolation(
             f"doubly-even routes disagree: faces={by_faces} weights={by_weights}"
         )
-    return DoublyEvenReport(codim=k, doubly_even=by_weights, face_sizes_divisible_by_4=by_faces)
+    return DoublyEvenReport(codim=k, doubly_even=by_weights)

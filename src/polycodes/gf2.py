@@ -19,7 +19,6 @@ from .errors import BudgetExceeded, InvalidInput, TheoremViolation, Undefined
 __all__ = [
     "ENUMERATION_CAP",
     "LinearCode",
-    "SelfDualityTrace",
     "WeightEnumerator",
     "dual_code",
     "format_matrix",
@@ -169,36 +168,29 @@ def dual_code(code: LinearCode) -> LinearCode:
     return dual
 
 
-class SelfDualityTrace(Record):
-    """Outcome of the direct self-duality test plus the two pairwise criteria."""
-
-    self_dual: bool          # C equals its dual, the defining test
-    half_dimension: bool     # dim == length / 2
-    basis_orthogonal: bool   # every basis pair (diagonal included) is orthogonal
-    products_even_weight: bool  # every componentwise basis product has even weight
-
-
 def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
     # <u, v> is the parity of |u AND v|; the diagonal pairs are included.
     return not any(_popcount(a & b) & 1 for i, a in enumerate(rows) for b in rows[i:])
 
 
-def is_self_dual(code: LinearCode) -> SelfDualityTrace:
-    """Compare C with its dual and test pairwise orthogonality of the basis.
+def is_self_dual(code: LinearCode) -> bool:
+    """Whether C equals its dual, checked two ways at half dimension.
 
-    ``products_even_weight`` is ``basis_orthogonal`` again, since <u, v>
-    is by definition the parity of |u AND v|. When dim == length/2 the
-    two answers must agree; disagreement raises TheoremViolation.
+    The direct route compares C with its dual. At dim == length/2 the
+    code is self-dual exactly when its basis is pairwise orthogonal, and
+    the two answers must agree; disagreement raises TheoremViolation.
+    Off half dimension the code cannot be self-dual and only the direct
+    route runs.
     """
     direct = code == dual_code(code)
-    half = 2 * code.dim == code.length
-    orthogonal = _pairwise_orthogonal(code.rows)
-    if half and direct != orthogonal:
-        raise TheoremViolation(
-            "self-duality criteria disagree at half dimension: "
-            f"direct={direct} orthogonal={orthogonal}"
-        )
-    return SelfDualityTrace(direct, half, orthogonal, orthogonal)
+    if 2 * code.dim == code.length:
+        orthogonal = _pairwise_orthogonal(code.rows)
+        if direct != orthogonal:
+            raise TheoremViolation(
+                "self-duality criteria disagree at half dimension: "
+                f"direct={direct} orthogonal={orthogonal}"
+            )
+    return direct
 
 
 def _nonzero_weights(code: LinearCode) -> Iterator[int]:
@@ -391,7 +383,7 @@ def weight_enumerator(code: LinearCode) -> WeightEnumerator:
         raise TheoremViolation(
             f"doubly-even routes disagree: enumerated={enumerated} basis={by_basis}"
         )
-    if is_self_dual(code).self_dual:
+    if is_self_dual(code):
         _check_macwilliams(counts, code.length, code.dim)
     return WeightEnumerator(counts=dict(sorted(counts.items())), doubly_even=enumerated)
 

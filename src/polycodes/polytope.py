@@ -72,9 +72,6 @@ class SimplePolytope(Record):
     def num_facets(self) -> int:
         return len(self.facets)
 
-    def vertices(self) -> range:
-        return range(self.num_vertices)
-
     def derived(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The value stored under ``key``, computed by ``compute()`` on first use."""
         if key not in self._derived:

@@ -9,13 +9,11 @@ here are necessary conditions, not a decision procedure.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ._record import Record
 from .constructors import Recipe
 from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation, _clip, _digits
 from .facecodes import face_code
-from .gf2 import LinearCode, _doubly_even, is_self_dual, min_distance
+from .gf2 import _doubly_even, is_self_dual, min_distance
 
 __all__ = [
     "ScreenRule",
@@ -49,8 +47,8 @@ class ScreenVerdict(Record):
             raise InvalidInput("exactly the feasible verdicts carry a witness")
 
 
-def mallows_sloane(l: int) -> tuple[int, Callable[[LinearCode], bool]]:
-    """Extremal distance bound 4*floor(l/24) + 4 and an equality predicate.
+def mallows_sloane(l: int) -> int:
+    """Extremal distance bound 4*floor(l/24) + 4 on doubly-even self-dual codes of length l.
 
     Doubly-even self-dual codes exist only for lengths divisible by 8,
     so other lengths are rejected as Inapplicable.
@@ -59,14 +57,7 @@ def mallows_sloane(l: int) -> tuple[int, Callable[[LinearCode], bool]]:
         raise InvalidInput(f"length must be a positive integer, got {_clip(repr(l))}")
     if l % 8 != 0:
         raise Inapplicable(f"the extremal bound needs length divisible by 8, got {_clip(l)}")
-    bound = 4 * (l // 24) + 4
-
-    def is_extremal(code: LinearCode) -> bool:
-        if code.length != l:
-            raise InvalidInput(f"code has length {code.length}, bound was built for {l}")
-        return min_distance(code) == bound
-
-    return bound, is_extremal
+    return 4 * (l // 24) + 4
 
 
 # Verifying a witness tests each pair of its l/2 basis rows for orthogonality, twice.
@@ -88,7 +79,7 @@ def _verify_witness(recipe: Recipe, l: int, d: int, doubly_even: bool) -> Screen
         problems.append(f"length {code.length} != {l}")
     if 2 * code.dim != code.length:
         problems.append(f"dimension {code.dim} is not half the length")
-    if not is_self_dual(code).self_dual:
+    if not is_self_dual(code):
         problems.append("code is not self-dual")
     exact = min_distance(code)
     if exact != d:

@@ -7,7 +7,8 @@ intersections and from grouping vertices by the subsets of their facet
 sets, heights from Fraction sums, Morse indices and selections from
 Fraction comparisons with each face looked up among all faces of its
 codimension, edge neighbors from a scan of all
-vertex pairs, facet colorings from a backtracking search over facets,
+vertex pairs, facet colorings from a backtracking search over facets, the
+colorability criteria from the public API and the facet sets,
 incidence isomorphism from a search over facet bijections and the
 facet-product closure from every k-multiset of facets. Frozen golden
 values in the test files were produced by these oracles.
@@ -483,6 +484,34 @@ def coloring_by_backtracking(P: pc.SimplePolytope) -> pc.Coloring | None:
     return pc.Coloring(num_colors=n, colors=tuple(first_seen[c] for c in colors))
 
 
+def colorability_criteria(P: pc.SimplePolytope) -> dict[str, bool]:
+    """The six colorability criteria, each evaluated through the public API.
+
+    For a simple polytope of dimension >= 3 they are equivalent; below
+    that they need not agree (an odd polygon meets the dimension formula).
+    A colour class is a perfect cover when its facets' vertex sets are
+    disjoint and cover every vertex, read from the facet sets directly.
+    """
+    n = P.dim
+    coloring = pc.find_coloring(P)
+    codes = [pc.face_code(P, k).code for k in range(n + 1)]
+
+    def perfect_cover(c: int) -> bool:
+        members = [f for f, color in zip(P.facets, coloring.colors) if color == c]
+        covered = [v for f in members for v in f]
+        return sorted(covered) == list(range(P.num_vertices))
+
+    return {
+        "coloring_found": coloring is not None,
+        "perfect_cover_partition": coloring is not None
+        and all(perfect_cover(c) for c in range(coloring.num_colors)),
+        "inclusion_chain": all(codes[k].is_subspace_of(codes[k + 1]) for k in range(n)),
+        "penultimate_inclusion": n >= 2 and codes[n - 2].is_subspace_of(codes[n - 1]),
+        "first_code_dimension": codes[1].dim == P.num_facets - n + 1,
+        "even_two_faces": pc.is_even(P),
+    }
+
+
 @dataclass(frozen=True)
 class OutwardMap:
     """Per-facet map sending each vertex of the facet to its unique neighbor outside."""
@@ -708,12 +737,12 @@ def check_incidence(
 def edges(P: pc.SimplePolytope) -> tuple[tuple[int, int], ...]:
     """Vertex pairs sharing exactly dim - 1 facets, sorted."""
     nbrs = pc.vertex_neighbors(P)
-    return tuple((u, w) for u in P.vertices() for w in nbrs[u] if u < w)
+    return tuple((u, w) for u in range(P.num_vertices) for w in nbrs[u] if u < w)
 
 
 def skeleton_connected(P: pc.SimplePolytope, removed: frozenset[int] = frozenset()) -> bool:
     """Whether the 1-skeleton minus ``removed`` is connected (and nonempty)."""
-    alive = [v for v in P.vertices() if v not in removed]
+    alive = [v for v in range(P.num_vertices) if v not in removed]
     if not alive:
         return False
     nbrs = pc.vertex_neighbors(P)

@@ -626,10 +626,17 @@ def test_theorem_violation_exits_3(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("theorem check failed:")
 
 
-def test_asymmetric_h_vector_in_a_file_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["info"], ["color"], ["verify"], ["verify", "--suite", "colorability"]],
+    ids=" ".join,
+)
+def test_asymmetric_h_vector_in_a_file_exits_1(tmp_path, capsys, argv):
+    # The colorability criteria read the face codes; the h-vector is checked
+    # before they are compared, so this input fault is not an internal one.
     path = tmp_path / "heawood.json"
     path.write_text(json.dumps({"dim": 3, "facets": heawood_torus_facets()}))
-    assert main(["info", str(path)]) == 1
+    assert main([*argv, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "h-vector (1, 4, 10, -1) is not symmetric" in captured.err

@@ -268,22 +268,35 @@ def test_dual_is_dimension_complementary_involution(code):
 
 
 def test_is_self_dual_examples():
-    assert pc.is_self_dual(reduce([BitVector.from01("11")])).self_dual
+    assert pc.is_self_dual(reduce([BitVector.from01("11")])) is True
     assert pc.is_self_dual(
         reduce([BitVector.from01("1100"), BitVector.from01("0011")])
-    ).self_dual
+    ) is True
     bad = reduce([BitVector.from01("1000"), BitVector.from01("0100")])
-    trace = pc.is_self_dual(bad)
-    assert not trace.self_dual
-    assert not trace.basis_orthogonal
+    assert pc.is_self_dual(bad) is False
+    assert any(inner(x, y) for x in basis(bad) for y in basis(bad))
 
 
 def test_self_duality_trace_on_ext_hamming():
-    trace = pc.is_self_dual(ext_hamming())
-    assert trace.self_dual
-    assert trace.half_dimension
-    assert trace.basis_orthogonal
-    assert trace.products_even_weight
+    code = ext_hamming()
+    assert pc.is_self_dual(code) is True
+    assert 2 * code.dim == code.length
+    assert not any(inner(x, y) for x in basis(code) for y in basis(code))
+    assert all((x & y).weight % 2 == 0 for x in basis(code) for y in basis(code))
+
+
+def test_self_duality_routes_that_disagree_raise(monkeypatch):
+    monkeypatch.setattr(gf2, "_pairwise_orthogonal", lambda rows: False)
+    with pytest.raises(pc.TheoremViolation, match="self-duality criteria disagree"):
+        pc.is_self_dual(reed_muller(1, 3))
+
+
+def test_pairwise_route_runs_only_at_half_dimension(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("pairwise orthogonality tested off half dimension")
+
+    monkeypatch.setattr(gf2, "_pairwise_orthogonal", refuse)
+    assert pc.is_self_dual(pc.face_code(pc.cube(3), 0).code) is False
 
 
 def test_min_distance_examples():
@@ -488,8 +501,7 @@ def test_self_dual_codes_have_even_weights_and_even_min_distance():
     rng = random.Random(20260816)
     for _ in range(50):
         code = random_self_dual_code(rng, rng.choice((2, 4, 6, 8, 10, 12)))
-        trace = pc.is_self_dual(code)
-        assert trace.self_dual
+        assert pc.is_self_dual(code) is True
         assert all(w % 2 == 0 for w in pc.weight_enumerator(code).counts)
         assert pc.min_distance(code) % 2 == 0
         for x in basis(code):

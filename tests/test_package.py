@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import polycodes as pc
+from polycodes._record import Record
 
 
 def test_package_all_is_the_union_of_the_module_all_lists():
@@ -58,6 +59,27 @@ def test_every_public_name_is_used_outside_the_tests():
                 if name != own:
                     used.add(name)
     assert sorted(set(pc.__all__) - used) == []
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    # No record field exists only for the tests: each field of each public
+    # record is read as an attribute somewhere in the library, the scripts
+    # or the benchmark. The match is by name alone, so a field that shares
+    # its name with one read elsewhere escapes it: a ``trace`` field on any
+    # report would pass, because the CLI reads ScreenVerdict.trace.
+    root = Path(pc.__file__).resolve().parents[2]
+    paths = [Path(pc.__file__).parent, root / "scripts", root / "perfbench"]
+    read = {
+        n.attr
+        for path in sorted(p for folder in paths for p in folder.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    records = [getattr(pc, name) for name in pc.__all__]
+    records = [cls for cls in records if isinstance(cls, type) and issubclass(cls, Record)]
+    assert records
+    unread = [f"{cls.__name__}.{f}" for cls in records for f in cls._fields if f not in read]
+    assert unread == []
 
 
 def test_only_the_polytope_module_walks_the_face_lattice():

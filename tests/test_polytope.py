@@ -379,7 +379,7 @@ def test_neighbors_and_edges_match_pair_scan_oracle(entry):
     P = entry.build()
     oracle = neighbors_by_pair_scan(P)
     assert pc.vertex_neighbors(P) == oracle
-    assert edges(P) == tuple((u, w) for u in P.vertices() for w in oracle[u] if u < w)
+    assert edges(P) == tuple((u, w) for u in range(P.num_vertices) for w in oracle[u] if u < w)
 
 
 def assert_edge_facets_are_the_set_differences(P: pc.SimplePolytope) -> None:

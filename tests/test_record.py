@@ -42,8 +42,6 @@ def sample_records() -> list[Record]:
         pc.face_code(Q, 2),
         code,
         pc.dual_code(pc.face_code(Q, 2).code),
-        pc.is_self_dual(code),
-        pc.is_self_dual(pc.face_code(Q, 2).code),
         pc.weight_enumerator(code),
         pc.find_coloring(P),
         pc.find_coloring(Q),

@@ -217,23 +217,26 @@ def test_witness_verification_budget_is_checked_before_building(monkeypatch):
 # ------------------------------------------------------------ extremal bound
 
 
+def is_extremal(code: pc.LinearCode) -> bool:
+    """Whether the code meets the extremal bound at its own length."""
+    return pc.min_distance(code) == pc.mallows_sloane(code.length)
+
+
 def test_extremal_bound_values():
-    assert pc.mallows_sloane(8)[0] == 4
-    assert pc.mallows_sloane(16)[0] == 4
-    assert pc.mallows_sloane(24)[0] == 8
-    assert pc.mallows_sloane(32)[0] == 8
-    assert pc.mallows_sloane(48)[0] == 12
-    assert pc.mallows_sloane(72)[0] == 16
+    assert pc.mallows_sloane(8) == 4
+    assert pc.mallows_sloane(16) == 4
+    assert pc.mallows_sloane(24) == 8
+    assert pc.mallows_sloane(32) == 8
+    assert pc.mallows_sloane(48) == 12
+    assert pc.mallows_sloane(72) == 16
 
 
 def test_cube3_code_is_extremal():
-    bound, is_extremal = pc.mallows_sloane(8)
-    assert bound == 4
+    assert pc.mallows_sloane(8) == 4
     assert is_extremal(pc.face_code(pc.cube(3), 1).code)
 
 
 def test_prism8_code_is_extremal():
-    bound, is_extremal = pc.mallows_sloane(16)
     assert is_extremal(pc.face_code(pc.prism(8), 1).code)
 
 
@@ -246,6 +249,8 @@ def test_extremal_bound_guards():
         pc.mallows_sloane(-8)
     with pytest.raises(pc.InvalidInput, match=r"^length must be a positive integer, got -9{76}\.\.\.$"):
         pc.mallows_sloane(-int("9" * 4000))
-    _, is_extremal = pc.mallows_sloane(8)
-    with pytest.raises(pc.InvalidInput):
-        is_extremal(pc.face_code(pc.prism(8), 1).code)
+    # The bound is read at the code's own length: prism 12's [24, 12, 4]
+    # code falls short of 8, and prism 6's length 12 has no bound.
+    assert not is_extremal(pc.face_code(pc.prism(12), 1).code)
+    with pytest.raises(pc.Inapplicable):
+        is_extremal(pc.face_code(pc.prism(6), 1).code)

@@ -31,10 +31,6 @@ __all__ = [
 # exhaustive weight enumerator stops at this dimension.
 ENUMERATION_CAP = 28
 
-# Codes with at most this many nonzero codewords go straight to the Gray
-# walk; see min_distance for how it was measured.
-_WALK_FIRST = 255
-
 try:
     _popcount = int.bit_count
 except AttributeError:  # Python < 3.11
@@ -288,22 +284,11 @@ def min_distance(code: LinearCode) -> int:
     the exhaustive Gray walk runs instead. Raises Undefined for the zero
     code and BudgetExceeded when the cheaper of the two visits more than
     2^ENUMERATION_CAP codewords.
-
-    A code with at most _WALK_FIRST = 255 nonzero codewords (dimension
-    at most 8) skips the information sets and takes the walk, which no
-    budget can refuse. Measured on 200 random codes per dimension, of
-    length k+1 to 3k+4 (2 vCPUs, Python 3.11.7, best of 5, two seeds):
-    the walk took 33-53 us against 50-66 us for the two eliminations and
-    the schedule at k = 8, and 79-108 us against 52-54 us at k = 9. On
-    3,000 random self-dual codes of length 8-12 a call takes 7-8 us, not
-    22-29 us.
     """
     k = code.dim
     if k == 0:
         raise Undefined("the zero code has no nonzero codeword")
     walk = (1 << k) - 1
-    if walk <= _WALK_FIRST:
-        return min(_nonzero_weights(code))
     matrices = list(_information_sets(code))
     ranks = [r for r, _ in matrices]
     best = min(map(_popcount, code.rows))

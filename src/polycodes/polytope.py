@@ -16,10 +16,9 @@ first, ANDing each face with the facets of higher index than its
 defining ones, so each codimension comes out sorted by defining
 facets. It holds one path of the lattice and the siblings pending
 along it, at most n * m candidate masks, and never a whole level. It
-resumes from the deepest stored faces above the codimension asked for
-and records, per codimension, the face count and whether every face is
-even; the f-vector, evenness and the self-duality parity window read
-that summary only as deep as they need.
+always starts at the polytope and records, per codimension, the face
+count and whether every face is even; the f-vector, evenness and the
+self-duality parity window read that summary only as deep as they need.
 """
 
 from __future__ import annotations
@@ -330,50 +329,38 @@ def _facets_above(P: SimplePolytope) -> tuple[int, ...]:
 def _walk(P: SimplePolytope, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (defining facets, vertex mask) of each codimension-k face, depth first.
 
-    A child ANDs its parent's mask with one of the parent's candidate
-    facets and is kept when nonzero; its candidates are the parent's that
-    meet the new facet (``_facets_above``). Children are pushed from the
-    highest facet down, so they pop in ascending order and the faces come
-    out sorted by defining facets. A node is (mask, candidates, depth,
-    facet); slot d - 1 of one k-slot list holds the path's facet at depth
-    d. The walk starts from the deepest faces up to codimension k stored
-    on P, or from P, counts every node and its parity, and appends the
-    summary rows past its end: rows 0..j exist whenever codimension j is stored.
+    The walk starts at P. A child ANDs its parent's mask with one of the
+    parent's candidate facets and is kept when nonzero; its candidates
+    are the facets above its own facet that meet it (``_facets_above``).
+    Children are pushed from the highest facet down, so they pop in
+    ascending order and the faces come out sorted by defining facets. A
+    node is (mask, candidates, depth, facet); slot d - 1 of one k-slot
+    list holds the path's facet at depth d. The walk counts every node
+    and its parity, and stores the summary rows 0..k when they go
+    further than the stored ones.
     """
     masks, above = _facet_masks(P), _facets_above(P)
-    start = max((j for j in range(1, k + 1) if ("faces", j) in P._derived), default=0)
-    if start:
-        roots: Iterable[tuple[tuple[int, ...], int, int]] = (
-            (f.defining_facets, f.vertex_mask, reduce(and_, [above[i] for i in f.defining_facets]))
-            for f in P._derived[("faces", start)]
-        )
-    else:
-        roots = [((), (1 << P.num_vertices) - 1, (1 << P.num_facets) - 1)]
     counts, odd = [0] * (k + 1), [0] * (k + 1)  # odd[j] & 1: some face has odd size
-    path, stack = [0] * k, []
+    path = [0] * k
+    stack = [((1 << P.num_vertices) - 1, (1 << P.num_facets) - 1, 0, -1)]
     pop, push, popcount = stack.pop, stack.append, _popcount
-    for defining, root, candidates in roots:
-        path[:start] = defining
-        push((root, candidates, start, -1))
-        while stack:
-            mask, candidates, depth, j = pop()
-            if depth > start:
-                path[depth - 1] = j
-            counts[depth] += 1
-            odd[depth] |= popcount(mask)
-            if depth == k:
-                yield tuple(path), mask
-                continue
-            rest = candidates
-            while rest:
-                j = rest.bit_length() - 1
-                rest ^= 1 << j
-                sub = mask & masks[j]
-                if sub:
-                    push((sub, candidates & above[j], depth + 1, j))
-    summary = P._derived.get("summary", ())
-    rows = ((counts[j], not odd[j] & 1) for j in range(len(summary), k + 1))
-    P._derived["summary"] = (*summary, *rows)
+    while stack:
+        mask, candidates, depth, j = pop()
+        if depth:
+            path[depth - 1] = j
+        counts[depth] += 1
+        odd[depth] |= popcount(mask)
+        if depth == k:
+            yield tuple(path), mask
+            continue
+        while candidates:
+            j = candidates.bit_length() - 1
+            candidates ^= 1 << j
+            sub = mask & masks[j]
+            if sub:
+                push((sub, above[j], depth + 1, j))
+    if len(P._derived.get("summary", ())) <= k:
+        P._derived["summary"] = tuple((counts[j], not odd[j] & 1) for j in range(k + 1))
 
 
 def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
@@ -382,9 +369,8 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     In a simple polytope every codimension-k face is cut out by exactly
     k facets, and the face of k facets is their intersection whenever it
     is nonempty, so the face walk lists them. Only the codimension asked
-    for is stored, and later walks resume from it. Codimension 0 is
-    the polytope itself with no defining facets, codimension n has one
-    face per vertex.
+    for is stored. Codimension 0 is the polytope itself with no defining
+    facets, codimension n has one face per vertex.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {_clip(k)} out of range 0..{P.dim}")

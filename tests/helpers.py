@@ -311,20 +311,42 @@ def faces_by_grouping(P: pc.SimplePolytope, k: int) -> tuple[pc.Face, ...]:
 
 
 def count_levels_walked(monkeypatch) -> list[int]:
-    """A list that gets, per call of the face walk, the number of levels it
-    passes: the codimension asked for minus the deepest stored codimension
-    up to it, from which the walk resumes (0 when none is stored)."""
+    """A list that gets, per call of the face walk, the levels it walks from
+    the top: the deepest codimension among the nodes it visits, when the
+    shallowest is P itself. The walk takes one popcount per node, and a
+    node's codimension is the number of facets that contain its vertices;
+    a walk that starts below P appends the pair (shallowest, deepest). A
+    walk is recorded once it is run to the end, as every caller runs it."""
     from polycodes import polytope
 
-    levels: list[int] = []
-    walk = polytope._walk
+    levels: list[int | tuple[int, int]] = []
+    walk, popcount = polytope._walk, polytope._popcount
+    visiting: list[list[int]] = []  # the node masks of the walk running now
 
-    def counted(P: pc.SimplePolytope, k: int):
-        stored = [j for j in range(1, k + 1) if ("faces", j) in P._derived]
-        levels.append(k - max(stored, default=0))
-        return walk(P, k)
+    def observed_popcount(x: int) -> int:
+        if visiting:
+            visiting[-1].append(x)
+        return popcount(x)
 
-    monkeypatch.setattr(polytope, "_walk", counted)
+    def observed_walk(P: pc.SimplePolytope, k: int):
+        nodes: list[int] = []
+        inner = walk(P, k)
+        while True:
+            visiting.append(nodes)
+            try:
+                item = next(inner)
+            except StopIteration:
+                break
+            finally:
+                visiting.pop()
+            yield item
+        masks = polytope._facet_masks(P)
+        codims = [sum(node & m == node for m in masks) for node in nodes]
+        top, bottom = min(codims), max(codims)
+        levels.append(bottom if top == 0 else (top, bottom))
+
+    monkeypatch.setattr(polytope, "_popcount", observed_popcount)
+    monkeypatch.setattr(polytope, "_walk", observed_walk)
     return levels
 
 

@@ -138,21 +138,21 @@ def test_info_reads_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["cube 6", "prism 5", "dualcyclic57", "segment"])
 def test_info_walks_the_face_lattice_once(text, capsys, monkeypatch):
-    # f-vector and evenness come from one walk that passes each codimension once.
+    # f-vector and evenness come from one walk from the top to the vertices.
     levels = count_levels_walked(monkeypatch)
     rc, _ = run(capsys, ["info", text])
     assert rc == 0
-    assert sum(levels) == pc.parse_recipe(text).build().dim
+    assert levels == [pc.parse_recipe(text).build().dim]
 
 
-@pytest.mark.parametrize("k, levels_walked", [(1, 2), (4, 8)])
-def test_selfdual_walks_down_to_twice_the_codimension(k, levels_walked, capsys, monkeypatch):
-    # The code walks to codimension k; the parity window resumes from the
-    # stored faces down to 2k and walks no level twice.
+@pytest.mark.parametrize("k, twice_k", [(1, 2), (4, 8)])
+def test_selfdual_walks_down_to_twice_the_codimension(k, twice_k, capsys, monkeypatch):
+    # The code walks from the top to codimension k, the parity window from
+    # the top to min(2k, n).
     levels = count_levels_walked(monkeypatch)
     rc, _ = run(capsys, ["selfdual", "cube 9", "-k", str(k)])
     assert rc == 0
-    assert sum(levels) == levels_walked
+    assert levels == [k, twice_k]
 
 
 @pytest.mark.parametrize(
@@ -334,6 +334,16 @@ def test_screen_refuses_a_witness_over_the_verification_budget(capsys):
         "error: verifying the witness prism 4000 needs 8002000 basis row pairs "
         "tested for orthogonality, over the budget of 2^18 = 262144\n"
     )
+
+
+def test_screen_output_stays_bounded_for_long_integers(capsys):
+    # One face-growth line covers every n from the first that fails, so the
+    # output does not grow with the number of candidate dimensions.
+    rc, out = run(capsys, ["screen", "--length", str(10**4000), "--mindist", str(10**3999)])
+    assert rc == 0
+    assert out.startswith("status: Unknown\n")
+    assert out.count("[face-growth]") == 1
+    assert len(out.encode()) < 200_000
 
 
 # -------------------------------------------------------------------- morse

@@ -95,6 +95,20 @@ def test_only_the_polytope_module_walks_the_face_lattice():
         assert "_walk" not in names, path.name
 
 
+def test_only_faces_of_codim_names_the_stored_faces():
+    # Every walk starts at the polytope: no function but the one that
+    # stores a level reads the stored faces, so a walk cannot resume from them.
+    tree = ast.parse((Path(pc.__file__).parent / "polytope.py").read_text())
+    named = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, ast.Constant) and n.value == "faces"
+    }
+    assert named == {"faces_of_codim"}
+
+
 def test_only_the_polytope_module_pairs_edges_with_facets():
     # The facet each edge leaves has one owner: the skeleton stores it and
     # other modules read it through _edge_facets. None names the skeleton,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import polycodes as pc
+from polycodes import gf2
 from polycodes.screen import _admissible, _verify_witness
 
 
@@ -128,12 +129,20 @@ def test_screen_answers_huge_lengths_without_listing_sizes(l):
 
 
 def test_face_growth_shows_products_past_the_str_limit_as_powers_of_two():
-    d = 10**4299  # 4,300 digits, the most str() converts; 16 * d has one more
+    d = 3 * 10**4299  # 4,300 digits, the most str() converts; 4 * d has one more
     v = pc.realizability_screen(2**20, d, False)
     growth = [r.instantiation for r in v.trace if r.rule == "face-growth"]
-    assert v.status == "Infeasible" and len(growth) == 8  # n = 5, 7, ..., 19
-    assert growth[0] == f"n=5: {d} * 2^2 = {4 * d} > {2**20}"
-    assert growth[2] == f"n=9: {d} * 2^4 = about 2^{(16 * d).bit_length() - 1} > {2**20}"
+    assert v.status == "Infeasible" and rule_ids(v)[-1] == "exhausted"
+    assert growth == [f"n>=5: {d} * 2^2 = about 2^{(4 * d).bit_length() - 1} > {2**20}"]
+
+
+def test_witness_verification_tests_orthogonality_once(monkeypatch):
+    passes = []
+    pairwise = gf2._pairwise_orthogonal
+    monkeypatch.setattr(gf2, "_pairwise_orthogonal", lambda rows: passes.append(1) or pairwise(rows))
+    v = pc.realizability_screen(32, 8, True)
+    assert v.witness == pc.parse_recipe("cube 5")
+    assert len(passes) == 1
 
 
 # -------------------------------------------------------- verdict invariants

@@ -3,8 +3,9 @@
 
 Prints one row per (length, distance) pair with the verdict for the
 requested doubly-evenness, the matched witness if any, and the rule
-that ended the trace. Lengths and distances run over even values only;
-odd ones are trivially infeasible.
+that ended the trace. A row whose witness is over the verification
+budget reads "refused", and the sweep goes on. Lengths and distances
+run over even values only; odd ones are trivially infeasible.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ def sweep(max_length: int, max_distance: int, doubly_even: bool, hide_infeasible
     print(f"{'l':>4} {'d':>4} {'verdict':16} {'witness':10} last rule")
     for l in range(2, max_length + 1, 2):
         for d in range(2, min(max_distance, l) + 1, 2):
-            v = pc.realizability_screen(l, d, doubly_even)
+            try:
+                v = pc.realizability_screen(l, d, doubly_even)
+            except pc.BudgetExceeded:  # verifying the witness is over budget
+                print(f"{l:>4} {d:>4} {'refused':16} {'-':10} witness")
+                continue
             if hide_infeasible and v.status == "Infeasible":
                 continue
             witness = v.witness.text() if v.witness else "-"

@@ -16,7 +16,6 @@ from typing import Any
 from .constructors import parse_recipe
 from .errors import (
     BudgetExceeded,
-    GenericityFailure,
     Inapplicable,
     InvalidInput,
     TheoremViolation,
@@ -331,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolation as exc:
         print(f"theorem check failed: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInput, Undefined, Inapplicable, GenericityFailure, OSError, UnicodeDecodeError) as exc:
+    except (InvalidInput, Undefined, Inapplicable, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

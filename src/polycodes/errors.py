@@ -4,7 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "BudgetExceeded",
-    "GenericityFailure",
     "Inapplicable",
     "InvalidInput",
     "InvalidPolytope",
@@ -60,10 +59,6 @@ class Inapplicable(ValueError):
 
 class Unrealized(InvalidInput):
     """Coordinates required but the polytope carries none."""
-
-
-class GenericityFailure(RuntimeError):
-    """No admissible generic objective found within the retry budget."""
 
 
 class TheoremViolation(AssertionError):

@@ -3,10 +3,10 @@
 A height function orients the 1-skeleton; the count of down-edges at a
 vertex is its index. Index histograms reproduce the h-vector, and the
 lowest-vertex faces picked here give independent face-code vectors.
-All arithmetic is exact, so genericity is a sharp yes or no: objectives
-are drawn and tested on integers, each point scaled once by the common
-denominator of its own coordinates. The kept heights are ``Fraction``
-values, sorted once; everything else compares the vertex ranks.
+All arithmetic is exact: a generic objective is constructed, not searched
+for, and heights are computed on integers, each point scaled once by the
+common denominator of its own coordinates. The kept heights are
+``Fraction`` values, sorted once; everything else compares the vertex ranks.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 
 from ._record import Record
-from .errors import GenericityFailure, InvalidInput, TheoremViolation, Unrealized, _clip
+from .errors import InvalidInput, TheoremViolation, Unrealized, _clip
 from .facecodes import face_code
 from .gf2 import _ones, _span
 from .polytope import (
@@ -47,8 +48,11 @@ class HeightFunction(Record):
 
     def __post_init__(self) -> None:
         order = sorted(range(len(self.values)), key=self.values.__getitem__)
-        if any(self.values[u] == self.values[w] for u, w in zip(order, order[1:])):
-            raise GenericityFailure("height values collide; the objective is not generic")
+        for u, w in zip(order, order[1:]):  # u < w, as the sort is stable
+            if self.values[u] == self.values[w]:
+                raise InvalidInput(
+                    f"vertices {u} and {w} have the same height: their points coincide or the objective is not generic"
+                )
         rank = [0] * len(order)
         for r, v in enumerate(order):
             rank[v] = r
@@ -62,32 +66,28 @@ def _integral(point: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def generic_height(P: SimplePolytope, seed: int) -> HeightFunction:
-    """Deterministically sample integer objectives until the values separate.
+    """A linear objective whose heights separate every two distinct vertex points.
 
-    Entries are drawn uniformly from [-bound, bound] starting at 16; the
-    bound doubles after every collision. At most 100 draws are tried.
-    A draw's heights are compared as reduced (numerator, denominator)
-    pairs, which are equal exactly when the rational heights are.
+    The seeded draw o in [-16, 16]^n is kept when it separates the vertices.
+    Otherwise let M bound the integer-scaled coordinates and D the points'
+    denominators, so each nonzero coordinate gap and o.(p - q) is at least
+    1/D^2. By Cauchy's root bound, e = (1, t, ..., t^(n-1)) with t = 2MD^2 + 1
+    separates all distinct points, and N*o + e with N = 2MD^2 * sum(e) + 1
+    keeps o's order where o has one. Coinciding points still tie, which
+    HeightFunction rejects as InvalidInput.
     """
     if P.coords is None:
         raise Unrealized("the polytope carries no coordinates")
     points = P.derived("integral_points", lambda: tuple(map(_integral, P.coords)))
     rng = random.Random(seed)
-    bound = 16
-    for _ in range(100):
-        objective = tuple(rng.randint(-bound, bound) for _ in range(P.dim))
-        heights = []
-        for coords, den in points:
-            num = sum(c * o for c, o in zip(coords, objective))
-            g = gcd(num, den)
-            heights.append((num // g, den // g))
-        if len(set(heights)) == len(heights):
-            return HeightFunction(
-                objective=tuple(Fraction(o) for o in objective),
-                values=tuple(Fraction(num, den) for num, den in heights),
-            )
-        bound *= 2
-    raise GenericityFailure("no generic objective found in 100 draws")
+    objective = tuple(rng.randint(-16, 16) for _ in range(P.dim))
+    values = [Fraction(sum(map(mul, q, objective)), den) for q, den in points]
+    if len(set(values)) < len(values):
+        gap = 2 * max(abs(c) for q, _ in points for c in q) * max(den for _, den in points) ** 2
+        e = [(gap + 1) ** i for i in range(P.dim)]
+        objective = tuple((gap * sum(e) + 1) * o + x for o, x in zip(objective, e))
+        values = [Fraction(sum(map(mul, q, objective)), den) for q, den in points]
+    return HeightFunction(objective=tuple(map(Fraction, objective)), values=tuple(values))
 
 
 def _check_height(P: SimplePolytope, phi: HeightFunction) -> None:

@@ -116,7 +116,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
             ScreenRule(
                 rule="parity",
                 statement="a self-dual code has even length and all its weights, the minimum distance included, are even",
-                instantiation=f"length {l} and minimum distance {d} must both be even",
+                instantiation=f"length {_digits(l)} and minimum distance {_digits(d)} must both be even",
             )
         )
         return ScreenVerdict(status="Infeasible", trace=tuple(trace), witness=None)
@@ -126,7 +126,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
         ScreenRule(
             rule="candidate-dimensions",
             statement="self-duality forces odd polytope dimension n, and an even n-polytope has at least 2^n vertices",
-            instantiation=f"odd n with 2^n <= {l}: {candidates if candidates else 'none'}",
+            instantiation=f"odd n with 2^n <= {_digits(l)}: {candidates if candidates else 'none'}",
         )
     )
 
@@ -140,7 +140,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
                     ScreenRule(
                         rule="segment-only",
                         statement="the only even 1-polytope is the segment, whose face code is the length-2 repetition code",
-                        instantiation=f"n=1 needs (length, distance) = (2, 2), got ({l}, {d})",
+                        instantiation=f"n=1 needs (length, distance) = (2, 2), got ({_digits(l)}, {_digits(d)})",
                     )
                 )
             continue
@@ -152,7 +152,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
                     ScreenRule(
                         rule="distance-four",
                         statement="the self-dual face code of an even 3-polytope has minimum distance exactly 4",
-                        instantiation=f"n=3 needs distance 4, got {d}",
+                        instantiation=f"n=3 needs distance 4, got {_digits(d)}",
                     )
                 )
             continue
@@ -162,7 +162,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
                 ScreenRule(
                     rule="face-growth",
                     statement="the vertex count is at least 2^k times the vertex count of any codimension-k face, and each face indicator is a nonzero codeword; d * 2^k grows with n, so every larger n fails too",
-                    instantiation=f"n>={n}: {d} * 2^{k} = {_digits(d * 2 ** k)} > {l}",
+                    instantiation=f"n>={n}: {_digits(d)} * 2^{k} = {_digits(d * 2 ** k)} > {_digits(l)}",
                 )
             )
             break
@@ -175,7 +175,7 @@ def realizability_screen(l: int, d: int, doubly_even: bool) -> ScreenVerdict:
             ScreenRule(
                 rule="exhausted",
                 statement="no candidate dimension survives the pruning rules",
-                instantiation=f"(length, distance, doubly even) = ({l}, {d}, {doubly_even})",
+                instantiation=f"(length, distance, doubly even) = ({_digits(l)}, {_digits(d)}, {doubly_even})",
             )
         )
         return ScreenVerdict(status="Infeasible", trace=tuple(trace), witness=None)
@@ -212,7 +212,7 @@ def _dimension_five_survives(
             ScreenRule(
                 rule="ridge-sizes",
                 statement="each codimension-2 face of an even 5-polytope has admissible vertex count between the minimum distance and a quarter of the total",
-                instantiation=f"n=5: no admissible size in [{d}, {l // 4}]",
+                instantiation=f"n=5: no admissible size in [{_digits(d)}, {_digits(l // 4)}]",
             )
         )
         return False
@@ -223,9 +223,9 @@ def _dimension_five_survives(
     for s4 in _admissible(2 * s, l // 2, doubly_even):
         forced = []
         if s4 == 2 * s:
-            forced.append(f"{s4} = 2 * {s}")
+            forced.append(f"{_digits(s4)} = 2 * {_digits(s)}")
         if 2 * s4 == l:
-            forced.append(f"2 * {s4} = {l}")
+            forced.append(f"2 * {_digits(s4)} = {_digits(l)}")
         if forced and d > 8:
             # Equality in the doubling bound forces a product with a
             # segment factor; iterating pins a 3-cube face, whose own
@@ -234,7 +234,7 @@ def _dimension_five_survives(
                 ScreenRule(
                     rule="rigid-facet",
                     statement="equality in the facet-size doubling bound forces a cube factor, so the code contains a 3-cube face code of distance at most 8",
-                    instantiation=f"n=5: facet size {s4} ({', '.join(forced)}) caps the distance at 8 < {d}",
+                    instantiation=f"n=5: facet size {_digits(s4)} ({', '.join(forced)}) caps the distance at 8 < {_digits(d)}",
                 )
             )
             continue
@@ -244,7 +244,7 @@ def _dimension_five_survives(
             ScreenRule(
                 rule="facet-sizes",
                 statement="every facet of an even 5-polytope needs an admissible vertex count at least twice its smallest codimension-2 face",
-                instantiation=f"n=5: every facet size in [{2 * s}, {l // 2}] is excluded",
+                instantiation=f"n=5: every facet size in [{_digits(2 * s)}, {_digits(l // 2)}] is excluded",
             )
         )
         return False

@@ -26,6 +26,7 @@ indicators and vertex sets, and heights from a fixed objective.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,18 +357,21 @@ def f_vector_by_grouping(P: pc.SimplePolytope) -> tuple[int, ...]:
 
 
 def generic_height_by_fractions(P: pc.SimplePolytope, seed: int) -> pc.HeightFunction:
-    """generic_height's draws, each tested by building the Fraction heights:
-    the same seeded objectives and doubling bound, the distinctness test left
-    to HeightFunction. This was the library's route before integer draws."""
+    """generic_height's rule on Fraction heights: the seeded draw o in
+    [-16, 16]^n when its heights are distinct, else N*o + e with
+    t = 2MD^2 + 1, e = (1, t, ..., t^(n-1)) and N = 2MD^2 * sum(e) + 1.
+    D is the largest common denominator of one point's coordinates and M the
+    largest |coordinate| times its point's common denominator."""
     rng = random.Random(seed)
-    bound = 16
-    for _ in range(100):
-        objective = tuple(rng.randint(-bound, bound) for _ in range(P.dim))
-        try:
-            return height_from_objective(P, objective)
-        except pc.GenericityFailure:
-            bound *= 2
-    raise pc.GenericityFailure("no generic objective found in 100 draws")
+    objective = tuple(rng.randint(-16, 16) for _ in range(P.dim))
+    heights = [sum(c * o for c, o in zip(point, objective)) for point in P.coords]
+    if len(set(heights)) < len(heights):
+        dens = [math.lcm(*(c.denominator for c in point)) for point in P.coords]
+        m = max(abs(c) * den for point, den in zip(P.coords, dens) for c in point)
+        gap = 2 * int(m) * max(dens) ** 2
+        e = [(gap + 1) ** i for i in range(P.dim)]
+        objective = tuple((gap * sum(e) + 1) * o + x for o, x in zip(objective, e))
+    return height_from_objective(P, objective)
 
 
 def vertex_indices_by_fractions(P: pc.SimplePolytope, phi: pc.HeightFunction) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -75,10 +76,10 @@ def test_unrealized_polytope_has_no_height():
 
 def test_degenerate_objective_fails_genericity():
     # The all-zero objective collapses every height to 0.
-    with pytest.raises(pc.GenericityFailure):
+    with pytest.raises(pc.InvalidInput):
         height_from_objective(pc.cube(3), (0, 0, 0))
     # Equal values apart in vertex order meet once the values are sorted.
-    with pytest.raises(pc.GenericityFailure):
+    with pytest.raises(pc.InvalidInput, match="vertices 0 and 2 have the same height"):
         pc.HeightFunction((Fraction(1),), (Fraction(0), Fraction(1), Fraction(0)))
 
 
@@ -105,11 +106,24 @@ def test_constant_coordinate_realization_fails_genericity():
         coords=[(0, 0), (0, 1), (1, 1), (1, 0)],
     )
     # Heights along the first axis collide on the vertical edges.
-    with pytest.raises(pc.GenericityFailure):
+    with pytest.raises(pc.InvalidInput):
         height_from_objective(P, (1, 0))
-    # The seeded search must get past such collisions on its own.
+    # The constructed objective must get past such collisions on its own.
     phi = pc.generic_height(P, seed=0)
     assert pc.index_histogram(P, phi) == (1, 2, 1)
+
+
+def test_perturbed_objective_keeps_the_order_of_the_draw():
+    # Every cube draw ties; the perturbation may only split the draw's ties.
+    for text in ("cube 5", "product (polygon 5) (polygon 7)", "vcut (cube 6) 0"):
+        P = pc.parse_recipe(text).build()
+        for seed in range(5):
+            rng = random.Random(seed)
+            draw = tuple(rng.randint(-16, 16) for _ in range(P.dim))
+            heights = [sum(c * o for c, o in zip(point, draw)) for point in P.coords]
+            phi = pc.generic_height(P, seed)
+            by_rank = sorted(range(P.num_vertices), key=phi.rank.__getitem__)
+            assert [heights[v] for v in by_rank] == sorted(heights)
 
 
 def test_generic_height_is_deterministic_per_seed():
@@ -136,7 +150,7 @@ def test_integer_draws_match_the_fraction_route_on_the_corpus():
 
 
 def test_integer_draws_match_the_fraction_route_after_retries():
-    # At seed 3 the 8-cube takes 8 draws: seven collide and double the bound.
+    # At seed 3 the 8-cube's first draw ties, so the perturbed objective is kept.
     assert_matches_the_fraction_route(pc.cube(8), 3)
 
 

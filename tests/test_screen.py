@@ -136,6 +136,18 @@ def test_face_growth_shows_products_past_the_str_limit_as_powers_of_two():
     assert growth == [f"n>=5: {d} * 2^2 = about 2^{(4 * d).bit_length() - 1} > {2**20}"]
 
 
+@pytest.mark.parametrize(
+    "l, d, status",
+    [(2**20, 10**4300, "Infeasible"), (10**4300, 4, "Unknown")],
+    ids=["huge-distance", "huge-length"],
+)
+def test_screen_renders_every_integer_past_the_str_limit(l, d, status):
+    # 10^4300 has one digit more than str() converts.
+    v = pc.realizability_screen(l, d, False)
+    assert v.status == status
+    assert "about 2^14284" in v.trace[1].instantiation  # segment-only echoes l and d
+
+
 def test_witness_verification_tests_orthogonality_once(monkeypatch):
     passes = []
     pairwise = gf2._pairwise_orthogonal

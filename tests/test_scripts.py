@@ -26,3 +26,11 @@ def test_corpus_survey_middle_code_budgets_are_separate():
     assert survey.middle_code_row(pc.cube(7)) == "[128,64,?] (self-dual, doubly-even)"
     assert survey.middle_code_row(pc.prism(8)) == "[16,8,4] (self-dual, doubly-even)"
     assert survey.middle_code_row(pc.cube(4)) == "-"
+
+
+def test_screen_grid_reports_a_refused_row_and_goes_on(capsys):
+    # (128, 16) matches the witness cube 7, whose distance search is over budget.
+    load_script("screen_grid").sweep(136, 16, True, True)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["128", "16", "refused", "-", "witness"] in rows
+    assert rows[-1][:2] == ["136", "16"]

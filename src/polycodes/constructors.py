@@ -7,7 +7,7 @@ for D = 5, M = 7) come from Gale's evenness condition and carry none.
 
 A recipe is sized from its tree before anything is built: a node over 2^18
 vertex-facet incidences (dimension x vertices; cube 14 has 229,376, and
-``validate`` holds every input to the same limit) raises BudgetExceeded, and
+``validate`` holds every input to the same budget) raises BudgetExceeded, and
 so does ``dualcyclic D M`` when it would try over 2^18 subsets. A recipe
 nests at most 200 sub-recipes deep (``_MAX_DEPTH``); a deeper one is
 refused as it is parsed. Messages echo at most 80 characters of a token.
@@ -20,16 +20,8 @@ from itertools import combinations, pairwise
 from math import comb
 
 from ._record import Record
-from .errors import BudgetExceeded, InvalidInput, _clip
-from .polytope import (
-    _MAX_INCIDENCES,
-    _OVER_LIMIT,
-    SimplePolytope,
-    _edge_facets,
-    _size_refusal,
-    validate,
-    vertex_neighbors,
-)
+from .errors import InvalidInput, _clip, _over_budget
+from .polytope import _MAX_INCIDENCES, SimplePolytope, _edge_facets, validate, vertex_neighbors
 
 __all__ = [
     "Recipe",
@@ -181,11 +173,11 @@ def _dual_cyclic_shape(d: int, m: int) -> tuple[int, int]:
     # then gives the dimension and vertex count of C*(d, m).
     if not 2 <= d < m:
         raise InvalidInput(f"dualcyclic needs 2 <= D < M, got D = {_clip(d)}, M = {_clip(m)}")
-    # C(m, j) rises with j up to m / 2 and C(38, 19) is over the limit, so
-    # capping j at 19 keeps the count cheap and leaves the verdict exact.
+    # C(m, j) rises with j up to m / 2 and C(38, 19) is over the budget, so capping
+    # j at 19 keeps the verdict exact but not the count: the refusal shows C(M, D).
     if comb(m, min(d, m - d, 19)) > _MAX_INCIDENCES:
         d, m = _clip(d), _clip(m)
-        raise BudgetExceeded(f"dualcyclic {d} {m} tries C({m}, {d}) subsets, {_OVER_LIMIT}")
+        raise _over_budget(f"dualcyclic {d} {m} tries", f"C({m}, {d})", "subsets", _MAX_INCIDENCES)
     # The vertices are the facets of C^d(m), counted in closed form.
     k = d // 2
     return d, 2 * comb(m - k - 1, k) if d % 2 else m * comb(m - k, k) // (m - k)
@@ -227,7 +219,7 @@ class Recipe(Record):
         return self.text()
 
     def build(self) -> SimplePolytope:
-        """The polytope, named by this recipe's text, once every node is within the size limit."""
+        """The polytope, named by this recipe's text, once every node is within the size budget."""
         try:
             self._shape()
             return self._build()
@@ -235,7 +227,7 @@ class Recipe(Record):
             raise InvalidInput("recipe nested too deeply") from None
 
     def _shape(self) -> tuple[int, int]:
-        # Dimension and vertex count, each node checked against the limit.
+        # Dimension and vertex count, each node checked against the budget.
         if self.op not in _OPS:
             raise InvalidInput(f"unknown recipe op {_clip(repr(self.op))}")
         kinds, _, shape = _OPS[self.op]
@@ -245,7 +237,8 @@ class Recipe(Record):
             raise InvalidInput(f"recipe op {self.op!r} takes ({wanted}), got {got}")
         dim, num_vertices = shape(*(a._shape() if isinstance(a, Recipe) else a for a in self.args))
         if dim * num_vertices > _MAX_INCIDENCES:
-            raise _size_refusal(_clip(self.text()), dim * num_vertices)
+            work = f"{_clip(self.text())} needs"
+            raise _over_budget(work, dim * num_vertices, "vertex-facet incidences", _MAX_INCIDENCES)
         return dim, num_vertices
 
     def _build(self) -> SimplePolytope:
@@ -262,7 +255,7 @@ _OPS = {
     "dualcyclic57": ((), lambda: dual_cyclic(5, 7), lambda: (5, 12)),
     "simplex": ((int,), simplex, lambda n: (n, n + 1)),
     "polygon": ((int,), polygon, lambda m: (2, m)),
-    # Past 2^64 vertices any cube is over the limit; the cap keeps 2^n small.
+    # Past 2^64 vertices any cube is over the budget; capped, 2^n is small and a lower bound.
     "cube": ((int,), cube, lambda n: (n, 1 << max(0, min(n, 64)))),
     "prism": ((int,), prism, lambda m: (3, 2 * m)),
     "product": ((Recipe, Recipe), product, lambda p, q: (p[0] + q[0], p[1] * q[1])),

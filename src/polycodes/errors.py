@@ -50,7 +50,18 @@ class Undefined(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Requested computation is over the fixed enumeration budget."""
+    """Requested computation is over a fixed budget; ``_over_budget`` builds every one."""
+
+
+def _over_budget(work: str, count: int | str, unit: str, budget: int, *, exact: bool = True) -> BudgetExceeded:
+    """The refusal of ``work``, which needs ``count`` ``unit``, over ``budget``, a power of two.
+
+    An int count is shown whole up to 64 bits. A longer one, or one that only bounds
+    the work from below (``exact=False``), shows as ``over 2^N`` with 2^N < count.
+    """
+    if isinstance(count, int) and (count.bit_length() > 64 or not exact):
+        count = f"over 2^{(count - 1).bit_length() - 1}"
+    return BudgetExceeded(f"{work} {count} {unit}, over the budget of 2^{budget.bit_length() - 1} = {budget}")
 
 
 class Inapplicable(ValueError):

@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
-from .errors import BudgetExceeded, InvalidInput, TheoremViolation, Undefined
+from .errors import InvalidInput, TheoremViolation, Undefined, _over_budget
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -299,10 +299,7 @@ def min_distance(code: LinearCode) -> int:
             break
     estimate = min(estimate, walk)
     if estimate > 1 << ENUMERATION_CAP:
-        raise BudgetExceeded(
-            f"an estimated {estimate} codewords to visit, over the budget of "
-            f"2^{ENUMERATION_CAP} = {1 << ENUMERATION_CAP}"
-        )
+        raise _over_budget("an estimated", estimate, "codewords to visit", 1 << ENUMERATION_CAP)
     if estimate == walk:
         return min(_nonzero_weights(code))
     for j, levels, bound in _schedule(k, ranks):
@@ -355,10 +352,7 @@ def weight_enumerator(code: LinearCode) -> WeightEnumerator:
     MacWilliams transform.
     """
     if code.dim > ENUMERATION_CAP:
-        raise BudgetExceeded(
-            f"walking 2^{code.dim} = {1 << code.dim} codewords is over the budget of "
-            f"2^{ENUMERATION_CAP} = {1 << ENUMERATION_CAP}"
-        )
+        raise _over_budget("walking", 1 << code.dim, "codewords", 1 << ENUMERATION_CAP)
     counts: dict[int, int] = {0: 1}
     for w in _nonzero_weights(code):
         counts[w] = counts.get(w, 0) + 1

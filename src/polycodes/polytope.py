@@ -5,7 +5,8 @@ frozenset of vertex indices. Validation covers the local combinatorics
 of simplicity (n facets and n edge neighbors per vertex, connected
 skeleton). Global polytopality of abstract incidence data is not
 decided here; inputs passing the local checks are processed as given.
-Every input is held to 2^18 vertex-facet incidences (dimension x vertices).
+Every input is held to 2^18 vertex-facet incidences (dimension x vertices),
+and the faces of one codimension to 2^28 stored mask bits (faces x vertices).
 
 Vertex sets are int masks (bit v is vertex v), as in the face codes.
 Validation builds the facet masks once, reads the edge rule from them
@@ -33,7 +34,7 @@ from operator import and_, or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._record import Record
-from .errors import BudgetExceeded, InvalidInput, InvalidPolytope, _clip
+from .errors import InvalidInput, InvalidPolytope, _clip, _over_budget
 from .gf2 import _bitmask, _popcount
 
 __all__ = [
@@ -100,17 +101,12 @@ class FHVectors(Record):
     h: tuple[int, ...]
 
 
-# The size limit on every input: dimension x vertex count, the vertex-facet
+# The size budget on every input: dimension x vertex count, the vertex-facet
 # incidences a simple polytope has (cube 14 has 229,376).
 _MAX_INCIDENCES = 1 << 18
-_OVER_LIMIT = f"over the limit of 2^18 = {_MAX_INCIDENCES}"
-
-
-def _size_refusal(what: str, work: int) -> BudgetExceeded:
-    """The refusal of ``what``, which needs ``work`` vertex-facet incidences, over the limit."""
-    # str() refuses ints past 4,300 digits, so a long count shows a power of two below it.
-    shown = work if work.bit_length() <= 64 else f"over 2^{work.bit_length() - 1}"
-    return BudgetExceeded(f"{what} needs {shown} vertex-facet incidences, {_OVER_LIMIT}")
+# The budget on stored faces: their count x the vertex count, the bits of
+# their vertex masks (cube 12 at codimension 6 stores about 2^27.85).
+_MAX_MASK_BITS = 1 << 28
 
 
 def _normalize_facets(facets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
@@ -239,7 +235,7 @@ def validate(
         missing = f"vertex indices must cover 0..{_clip(num_vertices - 1)}; missing {shown}{more}"
         raise InvalidPolytope([*violations, missing])
     if dim * num_vertices > _MAX_INCIDENCES:
-        raise _size_refusal("the polytope", dim * num_vertices)
+        raise _over_budget("the polytope needs", dim * num_vertices, "vertex-facet incidences", _MAX_INCIDENCES)
 
     incident: list[list[int]] = [[] for _ in range(num_vertices)]
     for i, f in enumerate(fsets):
@@ -370,13 +366,22 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     k facets, and the face of k facets is their intersection whenever it
     is nonempty, so the face walk lists them. Only the codimension asked
     for is stored. Codimension 0 is the polytope itself with no defining
-    facets, codimension n has one face per vertex.
+    facets, codimension n has one face per vertex. Once the stored faces
+    times the vertex count pass 2^28, the walk stops and BudgetExceeded
+    is raised.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {_clip(k)} out of range 0..{P.dim}")
-    return P.derived(
-        ("faces", k), lambda: tuple(Face(k, defining, mask) for defining, mask in _walk(P, k))
-    )
+
+    def store() -> tuple[Face, ...]:
+        most = _MAX_MASK_BITS // P.num_vertices
+        faces = tuple(Face(k, defining, mask) for defining, mask in islice(_walk(P, k), most + 1))
+        if len(faces) > most:  # the faces not yet walked are uncounted
+            work = f"storing the codimension-{k} faces needs"
+            raise _over_budget(work, len(faces) * P.num_vertices, "vertex-mask bits", _MAX_MASK_BITS, exact=False)
+        return faces
+
+    return P.derived(("faces", k), store)
 
 
 def _face_summary(P: SimplePolytope, depth: int) -> tuple[tuple[int, bool], ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .constructors import Recipe
-from .errors import BudgetExceeded, Inapplicable, InvalidInput, TheoremViolation, _clip, _digits
+from .errors import Inapplicable, InvalidInput, TheoremViolation, _clip, _digits, _over_budget
 from .facecodes import face_code
 from .gf2 import _popcount, is_self_dual, min_distance
 
@@ -61,17 +61,14 @@ def mallows_sloane(l: int) -> int:
 
 
 # Verifying a witness tests each pair of its l/2 basis rows for orthogonality once.
-_WITNESS_PAIRS_BITS = 18
+_MAX_WITNESS_PAIRS = 1 << 18
 
 
 def _verify_witness(recipe: Recipe, l: int, d: int, doubly_even: bool) -> ScreenRule:
     pairs = (l // 2) * (l // 2 + 1) // 2
-    if pairs > 1 << _WITNESS_PAIRS_BITS:
-        raise BudgetExceeded(
-            f"verifying the witness {_clip(recipe.text())} needs {_clip(pairs)} basis row pairs "
-            f"tested for orthogonality, over the budget of "
-            f"2^{_WITNESS_PAIRS_BITS} = {1 << _WITNESS_PAIRS_BITS}"
-        )
+    if pairs > _MAX_WITNESS_PAIRS:
+        work = f"verifying the witness {_clip(recipe.text())} needs"
+        raise _over_budget(work, pairs, "basis row pairs tested for orthogonality", _MAX_WITNESS_PAIRS)
     P = recipe.build()
     code = face_code(P, (P.dim - 1) // 2).code
     problems = []

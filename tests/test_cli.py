@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import polycodes as pc
 import polycodes.cli
-from polycodes import errors
+from polycodes import errors, polytope
 from polycodes.cli import main
 from polycodes.verify import CheckResult
 
@@ -228,6 +229,28 @@ def test_mindist_budget_exit_code(capsys):
     # Dimension 61, far above ENUMERATION_CAP, is answered exactly.
     rc, out = run(capsys, ["mindist", "polygon 62", "-k", "1"])
     assert rc == 0 and out == "minimum distance: 2\n"
+
+
+def test_mindist_refusal_does_not_grow_with_the_estimate(capsys):
+    # The estimate for RM(4, 10) has 53 digits; it is shown as a power of two below it.
+    assert main(["mindist", "cube 10", "-k", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: an estimated over 2^") and captured.err.count("\n") == 1
+    assert not re.search(r"\d{21}", captured.err)
+
+
+def test_faces_over_the_store_budget_exit_2(capsys, monkeypatch):
+    # The budget is patched small so that a small polytope meets it.
+    monkeypatch.setattr(polytope, "_MAX_MASK_BITS", 1 << 8)
+    assert main(["code", "cube 4", "-k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: storing the codimension-2 faces needs over 2^8 vertex-mask bits, "
+        "over the budget of 2^8 = 256\n"
+    )
+    assert main(["info", "cube 4"]) == 0  # the summary walk stores no faces
 
 
 # -------------------------------------------------------------------- color
@@ -587,7 +610,7 @@ def test_usage_errors_clip_the_values_they_echo(capsys):
         (
             {"dim": 100000, "facets": [[0, 1], [1, 2], [2, 0]]},
             2,
-            "the polytope needs 300000 vertex-facet incidences, over the limit of 2^18 = 262144",
+            "the polytope needs 300000 vertex-facet incidences, over the budget of 2^18 = 262144",
         ),
         ({"dim": 2, "facets": [[0, 1], [1, 2], [2, [0]]]}, 1, "got [0]"),
         ({"dim": 2, "facets": [[0, 1], [1, 2], [2, {"v": 0}]]}, 1, "got {'v': 0}"),
@@ -635,7 +658,7 @@ def test_recipes_over_the_size_limit_exit_2_at_once(argv, refusal):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"error: {refusal}, over the limit of 2^18 = 262144\n"
+    assert proc.stderr == f"error: {refusal}, over the budget of 2^18 = 262144\n"
 
 
 def test_huge_coordinate_exponent_exits_1_at_once(tmp_path):

@@ -319,7 +319,7 @@ def test_recipes_over_the_size_limit_are_refused_before_building(
     with pytest.raises(pc.BudgetExceeded) as info:
         pc.parse_recipe(text).build()
     assert refusal in str(info.value)
-    assert str(info.value).endswith("over the limit of 2^18 = 262144")
+    assert str(info.value).endswith("over the budget of 2^18 = 262144")
 
 
 @pytest.mark.parametrize(

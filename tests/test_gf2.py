@@ -469,8 +469,15 @@ def test_weight_enumerator_refuses_over_the_budget_before_walking(monkeypatch):
     code = reduce([BitVector.from_support(29, (i,)) for i in range(29)])
     with pytest.raises(
         pc.BudgetExceeded,
-        match=r"^walking 2\^29 = 536870912 codewords is over the budget of 2\^28 = 268435456$",
+        match=r"^walking 536870912 codewords, over the budget of 2\^28 = 268435456$",
     ):
+        pc.weight_enumerator(code)
+
+
+def test_weight_enumerator_refusal_stays_short_past_the_digit_limit():
+    # 2^15000 has over the 4,300 digits str() converts; the refusal shows a power of two.
+    code = pc.LinearCode(15000, tuple(1 << i for i in range(15000)))
+    with pytest.raises(pc.BudgetExceeded, match=r"^walking over 2\^14999 codewords, over the budget"):
         pc.weight_enumerator(code)
 
 

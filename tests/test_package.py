@@ -5,12 +5,18 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import polycodes as pc
+from polycodes import polytope
 from polycodes._record import Record
+
+from helpers import reed_muller
 
 
 def test_package_all_is_the_union_of_the_module_all_lists():
@@ -93,6 +99,85 @@ def test_only_the_polytope_module_walks_the_face_lattice():
         names = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
         names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
         assert "_walk" not in names, path.name
+
+
+def test_only_the_errors_module_builds_budget_refusals():
+    # Every refusal states its count and its budget one way: through
+    # errors._over_budget, the one caller of BudgetExceeded(...).
+    for path in sorted(Path(pc.__file__).parent.glob("*.py")):
+        calls = [
+            n
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "BudgetExceeded"
+        ]
+        assert len(calls) == (path.name == "errors.py"), path.name
+    assert not hasattr(polytope, "_size_refusal") and not hasattr(polytope, "_OVER_LIMIT")
+
+
+def _faces_over_a_small_budget(monkeypatch):
+    # 24 codimension-2 faces of the 4-cube, 16 vertices each: 384 mask bits.
+    monkeypatch.setattr(polytope, "_MAX_MASK_BITS", 1 << 8)
+    pc.faces_of_codim(pc.cube(4), 2)
+
+
+_B18, _B28 = "2^18 = 262144", "2^28 = 268435456"
+
+
+@pytest.mark.parametrize(
+    "refuse, work, budget",
+    [
+        (lambda mp: pc.validate(10**6, [[0], [1]]), "the polytope needs 2000000 vertex-facet incidences", _B18),
+        (
+            lambda mp: pc.validate(10**30, [[0], [1]]),
+            "the polytope needs over 2^100 vertex-facet incidences",
+            _B18,
+        ),
+        (lambda mp: pc.parse_recipe("cube 15").build(), "cube 15 needs 491520 vertex-facet incidences", _B18),
+        # The cube's shape caps its count at 2^64 vertices: a lower bound, shown as one.
+        (
+            lambda mp: pc.parse_recipe("cube 100000").build(),
+            "cube 100000 needs over 2^80 vertex-facet incidences",
+            _B18,
+        ),
+        # The subset count is computed capped at C(M, 19), so it is shown symbolically.
+        (lambda mp: pc.dual_cyclic(60, 120), "dualcyclic 60 120 tries C(120, 60) subsets", _B18),
+        (lambda mp: pc.min_distance(reed_muller(3, 7)), "an estimated 1408988384 codewords to visit", _B28),
+        (
+            lambda mp: pc.min_distance(pc.face_code(pc.cube(10), 5).code),
+            "an estimated over 2^175 codewords to visit",
+            _B28,
+        ),
+        (
+            lambda mp: pc.weight_enumerator(pc.LinearCode(29, tuple(1 << i for i in range(29)))),
+            "walking 536870912 codewords",
+            _B28,
+        ),
+        (
+            lambda mp: pc.weight_enumerator(pc.LinearCode(15000, tuple(1 << i for i in range(15000)))),
+            "walking over 2^14999 codewords",  # 2^15000 is shown as a strict lower bound
+            _B28,
+        ),
+        (
+            lambda mp: pc.realizability_screen(8000, 4, True),
+            "verifying the witness prism 4000 needs 8002000 basis row pairs tested for orthogonality",
+            _B18,
+        ),
+        (
+            lambda mp: pc.realizability_screen(2**40, 4, True),
+            "verifying the witness prism 549755813888 needs over 2^77 basis row pairs tested for orthogonality",
+            _B18,
+        ),
+        # The walk stops at the first face over the budget; the rest are uncounted.
+        (_faces_over_a_small_budget, "storing the codimension-2 faces needs over 2^8 vertex-mask bits", "2^8 = 256"),
+    ],
+)
+def test_every_budget_refusal_states_its_count_and_its_budget(refuse, work, budget, monkeypatch):
+    with pytest.raises(pc.BudgetExceeded) as info:
+        refuse(monkeypatch)
+    assert str(info.value) == f"{work}, over the budget of {budget}"
+    # One count: exact up to 64 bits (at most 20 digits), else a power of two below it.
+    counts = re.findall(r"(?:needs|estimated|walking|tries) (over 2\^\d+|\d+|C\(\d+, \d+\))", work)
+    assert len(counts) == 1 and (counts[0].startswith(("over", "C(")) or len(counts[0]) <= 20)
 
 
 def test_only_faces_of_codim_names_the_stored_faces():

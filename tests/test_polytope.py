@@ -156,7 +156,7 @@ def test_validate_refuses_inputs_over_the_size_limit():
     with pytest.raises(pc.BudgetExceeded) as info:
         pc.validate(10**6, [[0], [1]])
     assert str(info.value) == (
-        "the polytope needs 2000000 vertex-facet incidences, over the limit of 2^18 = 262144"
+        "the polytope needs 2000000 vertex-facet incidences, over the budget of 2^18 = 262144"
     )
     with pytest.raises(pc.BudgetExceeded, match=r"needs over 2\^100 vertex-facet incidences"):
         pc.validate(10**30, [[0], [1]])
@@ -171,7 +171,6 @@ def test_recipes_and_validate_share_one_size_limit():
     from polycodes import constructors
 
     assert constructors._MAX_INCIDENCES is polytope._MAX_INCIDENCES == 1 << 18
-    assert constructors._OVER_LIMIT is polytope._OVER_LIMIT
 
 
 def test_unhashable_vertex_indices_are_invalid():
@@ -310,6 +309,20 @@ def test_the_walk_holds_a_path_not_a_level():
 def test_faces_of_codim_rejects_bad_codim():
     with pytest.raises(pc.InvalidInput):
         pc.faces_of_codim(pc.cube(3), 4)
+
+
+def test_faces_over_the_store_budget_are_refused_and_not_stored(monkeypatch):
+    # The 4-cube has 24 codimension-2 faces of 16 vertices: 384 mask bits.
+    monkeypatch.setattr(polytope, "_MAX_MASK_BITS", 1 << 9)
+    assert len(pc.faces_of_codim(pc.cube(4), 2)) == 24
+    monkeypatch.setattr(polytope, "_MAX_MASK_BITS", 1 << 8)
+    P = pc.cube(4)
+    with pytest.raises(pc.BudgetExceeded, match=r"^storing the codimension-2 faces needs over 2\^8 "):
+        pc.faces_of_codim(P, 2)
+    assert ("faces", 2) not in P._derived
+    # Walks that store no faces pay nothing: the summary reaches the vertices.
+    assert pc.fh_vectors(P).f == (1, 8, 24, 32, 16)
+    assert len(pc.faces_of_codim(P, 1)) == 8  # 128 mask bits
 
 
 def test_face_indicator_of_whole_polytope_and_vertex():

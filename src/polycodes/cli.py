@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .constructors import parse_recipe
 from .errors import (
@@ -65,12 +65,25 @@ def _load_polytope(source: str) -> SimplePolytope:
         raise InvalidInput(f"{source!r} is neither an existing file nor a recipe ({exc})") from exc
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], text: list[str]) -> None:
+def _show(value: Any) -> str:
+    """A field value as text: a bool as yes/no, a list or tuple space-joined."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _report(args: argparse.Namespace, fields: list[tuple[str | None, str | None, Any]], more: Iterable[str] = ()) -> None:
+    """Print the (JSON key, text label, value) ``fields`` as one schema-1 object, or as ``label: value`` lines and ``more``.
+
+    A field without a key is text only; one without a label is JSON only.
+    """
     if args.json:
-        print(json.dumps({"schema": 1, **payload}, indent=2))
-    else:
-        for line in text:
-            print(line)
+        print(json.dumps({"schema": 1, **{key: value for key, _, value in fields if key}}, indent=2))
+        return
+    for line in [*(f"{label}: {_show(value)}" for _, label, value in fields if label), *more]:
+        print(line)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -86,27 +99,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     fh = fh_vectors(P)
-    payload = {
-        "name": P.name,
-        "dimension": P.dim,
-        "facets": P.num_facets,
-        "vertices": P.num_vertices,
-        "f_vector": list(fh.f),
-        "h_vector": list(fh.h),
-        "even": is_even(P),
-        "realized": P.coords is not None,
-    }
-    text = [
-        f"name: {P.name if P.name else '(unnamed)'}",
-        f"dimension: {P.dim}",
-        f"facets: {P.num_facets}",
-        f"vertices: {P.num_vertices}",
-        f"f-vector (by codimension): {' '.join(map(str, fh.f))}",
-        f"h-vector: {' '.join(map(str, fh.h))}",
-        f"even: {'yes' if payload['even'] else 'no'}",
-        f"realized: {'yes' if payload['realized'] else 'no'}",
-    ]
-    _emit(args, payload, text)
+    _report(args, [
+        ("name", None, P.name),
+        (None, "name", P.name or "(unnamed)"),
+        ("dimension", "dimension", P.dim),
+        ("facets", "facets", P.num_facets),
+        ("vertices", "vertices", P.num_vertices),
+        ("f_vector", "f-vector (by codimension)", fh.f),
+        ("h_vector", "h-vector", fh.h),
+        ("even", "even", is_even(P)),
+        ("realized", "realized", P.coords is not None),
+    ])
     return 0
 
 
@@ -115,94 +118,68 @@ def _cmd_code(args: argparse.Namespace) -> int:
     fc = face_code(P, args.k)
     if args.matrix:
         rows = format_matrix(code_matrix(P, args.k), len(fc.faces)).splitlines()
-        _emit(args, {"codimension": args.k, "rows": rows}, rows)
-        return 0
-    self_dual = is_self_dual(fc.code)
-    payload = {
-        "codimension": args.k,
-        "faces": len(fc.faces),
-        "length": fc.code.length,
-        "dimension": fc.code.dim,
-        "self_dual": self_dual,
-    }
-    text = [
-        f"codimension: {args.k}",
-        f"faces: {len(fc.faces)}",
-        f"length: {fc.code.length}",
-        f"dimension: {fc.code.dim}",
-        f"self-dual: {'yes' if self_dual else 'no'}",
-    ]
-    _emit(args, payload, text)
+        _report(args, [("codimension", None, args.k), ("rows", None, rows)], rows)
+    else:
+        _report(args, [
+            ("codimension", "codimension", args.k),
+            ("faces", "faces", len(fc.faces)),
+            ("length", "length", fc.code.length),
+            ("dimension", "dimension", fc.code.dim),
+            ("self_dual", "self-dual", is_self_dual(fc.code)),
+        ])
     return 0
 
 
 def _cmd_mindist(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     d = min_distance(face_code(P, args.k).code)
-    _emit(
-        args,
-        {"codimension": args.k, "min_distance": d},
-        [f"minimum distance: {d}"],
-    )
+    _report(args, [("codimension", None, args.k), ("min_distance", "minimum distance", d)])
     return 0
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     report = colorability_report(P)
-    coloring = report.coloring
-    if report.degenerate_dimension:
-        note = f"dimension {P.dim} below 3, direct search only"
-    else:
-        note = "six criteria agree"
-    payload = {
-        "colorable": report.colorable,
-        "colors": list(coloring.colors) if coloring else None,
-        "note": note,
-    }
-    text = [f"colorable: {'yes' if report.colorable else 'no'}", f"note: {note}"]
-    if coloring:
-        text.append("colors: " + " ".join(map(str, coloring.colors)))
-    _emit(args, payload, text)
+    colors = report.coloring.colors if report.coloring else None
+    note = f"dimension {P.dim} below 3, direct search only" if report.degenerate_dimension else "six criteria agree"
+    # JSON puts the colors before the note; text puts them last, and only when found.
+    _report(args, [
+        ("colorable", "colorable", report.colorable),
+        ("colors", None, colors),
+        ("note", "note", note),
+        *([(None, "colors", colors)] if report.coloring else []),
+    ])
     return 0
 
 
 def _cmd_selfdual(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     report = self_duality_report(P, args.k)
-    payload = {
-        "codimension": report.codim,
-        "self_dual": report.self_dual,
-        "half_dimension": report.half_dimension,
-        "face_parity_ok": report.face_parity_ok,
-        "parity_by_codim": [list(row) for row in report.parity_by_codim],
-    }
-    text = [
-        f"codimension: {report.codim}",
-        f"self-dual: {'yes' if report.self_dual else 'no'}",
-        f"half dimension: {'yes' if report.half_dimension else 'no'}",
-        f"even faces in the window: {'yes' if report.face_parity_ok else 'no'}",
-    ]
-    _emit(args, payload, text)
+    _report(args, [
+        ("codimension", "codimension", report.codim),
+        ("self_dual", "self-dual", report.self_dual),
+        ("half_dimension", "half dimension", report.half_dimension),
+        ("face_parity_ok", "even faces in the window", report.face_parity_ok),
+        ("parity_by_codim", None, report.parity_by_codim),
+    ])
     return 0
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
     verdict = realizability_screen(args.length, args.mindist, args.doubly_even)
-    payload = {
-        "status": verdict.status,
-        "witness": verdict.witness.text() if verdict.witness else None,
-        "trace": [
-            {"rule": r.rule, "statement": r.statement, "instantiation": r.instantiation}
-            for r in verdict.trace
+    witness = verdict.witness.text() if verdict.witness else None
+    _report(
+        args,
+        [
+            ("status", "status", verdict.status),
+            ("witness", "witness" if witness else None, witness),
+            ("trace", None, [
+                {"rule": r.rule, "statement": r.statement, "instantiation": r.instantiation}
+                for r in verdict.trace
+            ]),
         ],
-    }
-    text = [f"status: {verdict.status}"]
-    if verdict.witness:
-        text.append(f"witness: {verdict.witness.text()}")
-    for r in verdict.trace:
-        text.append(f"[{r.rule}] {r.statement}; {r.instantiation}")
-    _emit(args, payload, text)
+        [f"[{r.rule}] {r.statement}; {r.instantiation}" for r in verdict.trace],
+    )
     return 0
 
 
@@ -210,29 +187,22 @@ def _cmd_morse(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     phi = generic_height(P, args.seed)
     indices = vertex_indices(P, phi)
-    histogram = _histogram(P, indices)
+    histogram = _histogram(P, indices)  # its h-vector check runs before extract_basis's checks
     basis = extract_basis(P, phi, args.k)
-    payload = {
-        "seed": args.seed,
-        "objective": [str(x) for x in phi.objective],
-        "indices": list(indices),
-        "histogram": list(histogram),
-        "basis": [
-            {"vertex": v, "defining_facets": list(f.defining_facets)}
-            for v, f in basis
+    _report(
+        args,
+        [
+            ("seed", "seed", args.seed),
+            ("objective", "objective", [str(x) for x in phi.objective]),
+            ("indices", "indices", indices),
+            ("histogram", "histogram", histogram),
+            ("basis", None, [{"vertex": v, "defining_facets": f.defining_facets} for v, f in basis]),
         ],
-    }
-    text = [
-        f"seed: {args.seed}",
-        "objective: " + " ".join(str(x) for x in phi.objective),
-        "indices: " + " ".join(map(str, indices)),
-        "histogram: " + " ".join(map(str, histogram)),
-        f"basis faces at codimension {args.k}:",
-    ]
-    for v, f in basis:
-        facets = " ".join(map(str, f.defining_facets)) if f.defining_facets else "(none)"
-        text.append(f"  vertex {v}: facets {facets}")
-    _emit(args, payload, text)
+        [
+            f"basis faces at codimension {args.k}:",
+            *(f"  vertex {v}: facets {_show(f.defining_facets) or '(none)'}" for v, f in basis),
+        ],
+    )
     return 0
 
 
@@ -245,33 +215,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise InvalidInput("verify needs a polytope or --corpus")
     results = run_suite(args.suite, subjects)
-    failed = [r for r in results if not r.passed]
-    payload = {
-        "suite": args.suite,
-        "checks": [
-            {
-                "suite": r.suite,
-                "subject": r.subject,
-                "check": r.check,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
+    failed = sum(not r.passed for r in results)
+    _report(
+        args,
+        [
+            ("suite", None, args.suite),
+            ("checks", None, [
+                {"suite": r.suite, "subject": r.subject, "check": r.check, "passed": r.passed, "detail": r.detail}
+                for r in results
+            ]),
+            ("failed", None, failed),
         ],
-        "failed": len(failed),
-    }
-    text = [
-        f"[{'PASS' if r.passed else 'FAIL'}] {r.suite} :: {r.subject} :: {r.check}: {r.detail}"
-        for r in results
-    ]
-    text.append(f"{len(results)} checks, {len(failed)} failed")
-    _emit(args, payload, text)
+        [
+            *(f"[{'PASS' if r.passed else 'FAIL'}] {r.suite} :: {r.subject} :: {r.check}: {r.detail}" for r in results),
+            f"{len(results)} checks, {failed} failed",
+        ],
+    )
     return 3 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polycodes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    polytope = argparse.ArgumentParser(add_help=False)
+    polytope.add_argument("polytope", nargs="?", default="-")
 
     def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
@@ -283,23 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("recipe")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
 
-    p = add("info", _cmd_info, help="dimensions, counts, f- and h-vectors")
-    p.add_argument("polytope", nargs="?", default="-")
+    add("info", _cmd_info, parents=[polytope], help="dimensions, counts, f- and h-vectors")
 
-    p = add("code", _cmd_code, help="face code summary or full code matrix")
-    p.add_argument("polytope", nargs="?", default="-")
+    p = add("code", _cmd_code, parents=[polytope], help="face code summary or full code matrix")
     p.add_argument("-k", type=int, required=True, help="codimension")
     p.add_argument("--matrix", action="store_true", help="print the vertex-by-face matrix")
 
-    p = add("mindist", _cmd_mindist, help="exact minimum distance of a face code")
-    p.add_argument("polytope", nargs="?", default="-")
+    p = add("mindist", _cmd_mindist, parents=[polytope], help="exact minimum distance of a face code")
     p.add_argument("-k", type=int, required=True)
 
-    p = add("color", _cmd_color, help="search for a proper facet coloring")
-    p.add_argument("polytope", nargs="?", default="-")
+    add("color", _cmd_color, parents=[polytope], help="search for a proper facet coloring")
 
-    p = add("selfdual", _cmd_selfdual, help="self-duality report for one codimension")
-    p.add_argument("polytope", nargs="?", default="-")
+    p = add("selfdual", _cmd_selfdual, parents=[polytope], help="self-duality report for one codimension")
     p.add_argument("-k", type=int, required=True)
 
     p = add("screen", _cmd_screen, help="feasibility screen for code parameters")
@@ -307,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mindist", type=int, required=True)
     p.add_argument("--doubly-even", dest="doubly_even", action="store_true")
 
-    p = add("morse", _cmd_morse, help="height-function indices and basis faces")
-    p.add_argument("polytope", nargs="?", default="-")
+    p = add("morse", _cmd_morse, parents=[polytope], help="height-function indices and basis faces")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-k", type=int, required=True)
 

@@ -177,13 +177,12 @@ def colorability_report(P: SimplePolytope) -> ColorabilityReport:
     n = P.dim
     codes = [face_code(P, k).code for k in range(n + 1)]
     fh_vectors(P)  # no new walk: the codes above completed the summary it reads
+    nested = [codes[k].is_subspace_of(codes[k + 1]) for k in range(n)]
     criteria = {
         "coloring_found": coloring is not None,
         "perfect_cover_partition": _perfect_cover_partition(P, coloring),
-        "inclusion_chain": all(
-            codes[k].is_subspace_of(codes[k + 1]) for k in range(n)
-        ),
-        "penultimate_inclusion": codes[n - 2].is_subspace_of(codes[n - 1]),
+        "inclusion_chain": all(nested),
+        "penultimate_inclusion": nested[n - 2],
         "first_code_dimension": codes[1].dim == P.num_facets - n + 1,
         "even_two_faces": is_even(P),
     }

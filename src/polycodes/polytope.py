@@ -34,7 +34,7 @@ from operator import and_, or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._record import Record
-from .errors import InvalidInput, InvalidPolytope, _clip, _over_budget
+from .errors import InvalidInput, InvalidPolytope, TheoremViolation, _clip, _over_budget
 from .gf2 import _bitmask, _popcount
 
 __all__ = [
@@ -104,8 +104,8 @@ class FHVectors(Record):
 # The size budget on every input: dimension x vertex count, the vertex-facet
 # incidences a simple polytope has (cube 14 has 229,376).
 _MAX_INCIDENCES = 1 << 18
-# The budget on stored faces: their count x the vertex count, the bits of
-# their vertex masks (cube 12 at codimension 6 stores about 2^27.85).
+# The budget on stored faces: the bits of their vertex masks, summed (cube 12
+# at codimension 6 stores about 2^27.44, polygon 23169 at codimension 2 just under 2^28).
 _MAX_MASK_BITS = 1 << 28
 
 
@@ -366,20 +366,22 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
     k facets, and the face of k facets is their intersection whenever it
     is nonempty, so the face walk lists them. Only the codimension asked
     for is stored. Codimension 0 is the polytope itself with no defining
-    facets, codimension n has one face per vertex. Once the stored faces
-    times the vertex count pass 2^28, the walk stops and BudgetExceeded
-    is raised.
+    facets, codimension n has one face per vertex. Once the bits of the
+    stored vertex masks pass 2^28, the walk stops and BudgetExceeded is
+    raised.
     """
     if not 0 <= k <= P.dim:
         raise InvalidInput(f"codimension {_clip(k)} out of range 0..{P.dim}")
 
     def store() -> tuple[Face, ...]:
-        most = _MAX_MASK_BITS // P.num_vertices
-        faces = tuple(Face(k, defining, mask) for defining, mask in islice(_walk(P, k), most + 1))
-        if len(faces) > most:  # the faces not yet walked are uncounted
-            work = f"storing the codimension-{k} faces needs"
-            raise _over_budget(work, len(faces) * P.num_vertices, "vertex-mask bits", _MAX_MASK_BITS, exact=False)
-        return faces
+        faces, bits = [], 0
+        for defining, mask in _walk(P, k):
+            bits += mask.bit_length()
+            if bits > _MAX_MASK_BITS:  # the faces not yet walked are uncounted
+                work = f"storing the codimension-{k} faces needs"
+                raise _over_budget(work, bits, "vertex-mask bits", _MAX_MASK_BITS, exact=False)
+            faces.append(Face(k, defining, mask))
+        return tuple(faces)
 
     return P.derived(("faces", k), store)
 
@@ -403,12 +405,17 @@ def fh_vectors(P: SimplePolytope) -> FHVectors:
     sum_i f_i (t-1)^(n-i) = sum_i h_i t^(n-i) with exact integer
     arithmetic. The h-vector of every simple polytope is symmetric
     (Dehn-Sommerville), so incidence data with an asymmetric one is no
-    polytope and raises InvalidPolytope.
+    polytope and raises InvalidPolytope. First the walk's edge count
+    f_{n-1} is checked against the 1-skeleton's; a walk fault raises
+    TheoremViolation.
     """
 
     def build() -> FHVectors:
         n = P.dim
         f = tuple(count for count, _ in _face_summary(P, n))
+        edges = sum(map(len, vertex_neighbors(P))) // 2
+        if f[n - 1] != edges:
+            raise TheoremViolation(f"the face walk found {f[n - 1]} edges, the 1-skeleton has {edges}")
         h = tuple(
             sum(f[j] * comb(n - j, n - i) * (-1) ** (i - j) for j in range(i + 1))
             for i in range(n + 1)

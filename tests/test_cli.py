@@ -253,6 +253,15 @@ def test_faces_over_the_store_budget_exit_2(capsys, monkeypatch):
     assert main(["info", "cube 4"]) == 0  # the summary walk stores no faces
 
 
+def test_the_store_budget_counts_the_bits_of_sparse_masks(capsys, monkeypatch):
+    # Vertex i of a polygon is the mask 1 << i, of i + 1 bits: 40 vertices store
+    # 40 * 41 / 2 = 820 bits, not 40 * 40, and 45 vertices store 1,035.
+    monkeypatch.setattr(polytope, "_MAX_MASK_BITS", 1 << 10)
+    assert run(capsys, ["code", "polygon 40", "-k", "2"])[0] == 0
+    assert main(["code", "polygon 45", "-k", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: storing the codimension-2 faces needs over 2^10 ")
+
+
 # -------------------------------------------------------------------- color
 
 
@@ -493,6 +502,101 @@ def test_verify_reports_failures_with_exit_3(capsys, monkeypatch):
     rc, out = run(capsys, ["verify", "cube 3", "--suite", "selfdual"])
     assert rc == 3
     assert "[FAIL]" in out and "1 failed" in out
+
+
+# ------------------------------------------------------------------ reports
+
+# Each reporting subcommand on a small input: the whole text report, and the
+# fields of the --json report in order. NAMELESS is a polytope file with no name.
+_PARITY = (
+    "a self-dual code has even length and all its weights, the minimum distance included, are even",
+    "length 30 and minimum distance 5 must both be even",
+)
+_DUALITY = (
+    ("complement-pairing", "dual of each code is the complementary-codimension code"),
+    ("product-closure", "facet-indicator products span each code"),
+)
+REPORTS = [
+    (
+        ["info", "NAMELESS"],
+        "name: (unnamed)\ndimension: 2\nfacets: 4\nvertices: 4\n"
+        "f-vector (by codimension): 1 4 4\nh-vector: 1 2 1\neven: yes\nrealized: yes\n",
+        {"name": None, "dimension": 2, "facets": 4, "vertices": 4, "f_vector": [1, 4, 4],
+         "h_vector": [1, 2, 1], "even": True, "realized": True},
+    ),
+    (
+        ["code", "cube 2", "-k", "1"],
+        "codimension: 1\nfaces: 4\nlength: 4\ndimension: 3\nself-dual: no\n",
+        {"codimension": 1, "faces": 4, "length": 4, "dimension": 3, "self_dual": False},
+    ),
+    (
+        ["code", "cube 2", "-k", "1", "--matrix"],
+        "1010\n1001\n0110\n0101\n",
+        {"codimension": 1, "rows": ["1010", "1001", "0110", "0101"]},
+    ),
+    (
+        ["mindist", "cube 3", "-k", "1"],
+        "minimum distance: 4\n",
+        {"codimension": 1, "min_distance": 4},
+    ),
+    (
+        ["color", "cube 3"],
+        "colorable: yes\nnote: six criteria agree\ncolors: 0 0 1 1 2 2\n",
+        {"colorable": True, "colors": [0, 0, 1, 1, 2, 2], "note": "six criteria agree"},
+    ),
+    (
+        ["color", "simplex 3"],
+        "colorable: no\nnote: six criteria agree\n",
+        {"colorable": False, "colors": None, "note": "six criteria agree"},
+    ),
+    (
+        ["color", "polygon 5"],
+        "colorable: no\nnote: dimension 2 below 3, direct search only\n",
+        {"colorable": False, "colors": None, "note": "dimension 2 below 3, direct search only"},
+    ),
+    (
+        ["selfdual", "prism 5", "-k", "1"],
+        "codimension: 1\nself-dual: no\nhalf dimension: no\neven faces in the window: no\n",
+        {"codimension": 1, "self_dual": False, "half_dimension": False, "face_parity_ok": False,
+         "parity_by_codim": [[1, False], [2, True]]},
+    ),
+    (
+        ["screen", "--length", "30", "--mindist", "5"],
+        "status: Infeasible\n[parity] {}; {}\n".format(*_PARITY),
+        {"status": "Infeasible", "witness": None,
+         "trace": [{"rule": "parity", "statement": _PARITY[0], "instantiation": _PARITY[1]}]},
+    ),
+    (
+        ["morse", "cube 2", "-k", "1"],
+        "seed: 0\nobjective: 8 10\nindices: 0 1 1 2\nhistogram: 1 2 1\n"
+        "basis faces at codimension 1:\n"
+        "  vertex 0: facets 0\n  vertex 1: facets 3\n  vertex 2: facets 1\n",
+        {"seed": 0, "objective": ["8", "10"], "indices": [0, 1, 1, 2], "histogram": [1, 2, 1],
+         "basis": [{"vertex": 0, "defining_facets": [0]}, {"vertex": 1, "defining_facets": [3]},
+                   {"vertex": 2, "defining_facets": [1]}]},
+    ),
+    (
+        ["verify", "segment", "--suite", "duality"],
+        "".join(f"[PASS] duality :: segment :: {c}: {d}\n" for c, d in _DUALITY)
+        + "2 checks, 0 failed\n",
+        {"suite": "duality",
+         "checks": [{"suite": "duality", "subject": "segment", "check": c, "passed": True, "detail": d}
+                    for c, d in _DUALITY],
+         "failed": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text, payload", REPORTS, ids=[" ".join(r[0]) for r in REPORTS])
+def test_reports_pin_text_and_json_field_order(argv, text, payload, tmp_path, capsys):
+    document = json.loads(pc.polytope_to_json(pc.cube(2)))
+    del document["name"]
+    nameless = tmp_path / "nameless.json"
+    nameless.write_text(json.dumps(document))
+    argv = [str(nameless) if a == "NAMELESS" else a for a in argv]
+    assert run(capsys, argv) == (0, text)
+    # Compared as text, so the key order and the layout are pinned too.
+    assert run(capsys, [*argv, "--json"]) == (0, json.dumps({"schema": 1, **payload}, indent=2) + "\n")
 
 
 # --------------------------------------------------------------- exit codes

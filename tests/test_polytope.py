@@ -306,6 +306,17 @@ def test_the_walk_holds_a_path_not_a_level():
     assert peak < 256 * 1024
 
 
+def test_a_walk_that_skips_faces_fails_the_skeleton_check():
+    # Facet 0 of the 3-cube no longer lists facet 2 above it, so the walk
+    # skips their edge; the skeleton still has all 12.
+    P = pc.cube(3)
+    above = list(polytope._facets_above(P))
+    above[0] &= ~(1 << 2)
+    P._derived["facets_above"] = tuple(above)
+    with pytest.raises(pc.TheoremViolation, match=r"^the face walk found 11 edges, the 1-skeleton has 12$"):
+        pc.fh_vectors(P)
+
+
 def test_faces_of_codim_rejects_bad_codim():
     with pytest.raises(pc.InvalidInput):
         pc.faces_of_codim(pc.cube(3), 4)

@@ -29,7 +29,7 @@ def middle_code_row(P: pc.SimplePolytope) -> str:
     tags = []
     if self_dual:
         tags.append("self-dual")
-    if pc.doubly_even_report(P).doubly_even:
+    if pc.doubly_even_report(P):
         tags.append("doubly-even")
     suffix = f" ({', '.join(tags)})" if tags else ""
     return f"[{code.length},{code.dim},{d}]{suffix}"

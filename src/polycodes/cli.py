@@ -139,15 +139,15 @@ def _cmd_mindist(args: argparse.Namespace) -> int:
 
 def _cmd_color(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
-    report = colorability_report(P)
-    colors = report.coloring.colors if report.coloring else None
-    note = f"dimension {P.dim} below 3, direct search only" if report.degenerate_dimension else "six criteria agree"
+    coloring = colorability_report(P)
+    colors = coloring.colors if coloring else None
+    note = f"dimension {P.dim} below 3, direct search only" if P.dim < 3 else "six criteria agree"
     # JSON puts the colors before the note; text puts them last, and only when found.
     _report(args, [
-        ("colorable", "colorable", report.colorable),
+        ("colorable", "colorable", coloring is not None),
         ("colors", None, colors),
         ("note", "note", note),
-        *([(None, "colors", colors)] if report.coloring else []),
+        *([(None, "colors", colors)] if coloring else []),
     ])
     return 0
 

@@ -32,10 +32,6 @@ from .polytope import (
 
 __all__ = [
     "Coloring",
-    "ColorabilityReport",
-    "DimensionLaw",
-    "DimensionLawRow",
-    "DoublyEvenReport",
     "FaceCode",
     "SelfDualReport",
     "circ_closure_check",
@@ -152,28 +148,17 @@ def _perfect_cover_partition(P: SimplePolytope, coloring: Coloring | None) -> bo
     return True
 
 
-class ColorabilityReport(Record):
-    colorable: bool
-    coloring: Coloring | None
-    degenerate_dimension: bool
-
-
-def colorability_report(P: SimplePolytope) -> ColorabilityReport:
-    """Evaluate the six equivalent colorability criteria and assert agreement.
+def colorability_report(P: SimplePolytope) -> Coloring | None:
+    """The proper coloring, or None, once the six equivalent colorability criteria agree.
 
     Below dimension 3 the equivalences break down (odd polygons satisfy
     the dimension formula without being 2-colorable), so only the direct
-    coloring runs and the report carries a degenerate-dimension flag.
-    Incidence data with an asymmetric h-vector is no polytope and raises
-    InvalidPolytope before the criteria are compared.
+    coloring runs. Incidence data with an asymmetric h-vector is no
+    polytope and raises InvalidPolytope before the criteria are compared.
     """
     coloring = find_coloring(P)
     if P.dim < 3:
-        return ColorabilityReport(
-            colorable=coloring is not None,
-            coloring=coloring,
-            degenerate_dimension=True,
-        )
+        return coloring
     n = P.dim
     codes = [face_code(P, k).code for k in range(n + 1)]
     fh_vectors(P)  # no new walk: the codes above completed the summary it reads
@@ -186,53 +171,25 @@ def colorability_report(P: SimplePolytope) -> ColorabilityReport:
         "first_code_dimension": codes[1].dim == P.num_facets - n + 1,
         "even_two_faces": is_even(P),
     }
-    values = set(criteria.values())
-    if len(values) != 1:
+    if len(set(criteria.values())) != 1:
         raise TheoremViolation(f"colorability criteria disagree: {criteria}")
-    return ColorabilityReport(
-        colorable=values.pop(),
-        coloring=coloring,
-        degenerate_dimension=False,
-    )
+    return coloring
 
 
-class DimensionLawRow(Record):
-    codim: int
-    dim: int
-    self_dual: bool
+def dimension_law_check(P: SimplePolytope) -> tuple[int, ...]:
+    """For even P: the dimension of each face code, by codimension 0..n.
 
-
-class DimensionLaw(Record):
-    rows: tuple[DimensionLawRow, ...]
-    self_dual_codims: tuple[int, ...]
-
-
-def dimension_law_check(P: SimplePolytope) -> DimensionLaw:
-    """For even P: dim of each face code must equal the partial h-sum.
-
-    Also asserts where self-duality can occur: at codimension (n-1)/2
-    for odd n and nowhere for even n.
+    Each must equal the partial h-sum h_0 + ... + h_k.
     """
     if not is_even(P):
         raise Inapplicable("dimension law requires an even polytope")
-    n = P.dim
     h = fh_vectors(P).h
-    rows = []
-    for k in range(n + 1):
-        code = face_code(P, k).code
+    dims = tuple(face_code(P, k).code.dim for k in range(P.dim + 1))
+    for k, dim in enumerate(dims):
         partial = sum(h[: k + 1])
-        if code.dim != partial:
-            raise TheoremViolation(
-                f"dim of codimension-{k} code is {code.dim}, expected {partial}"
-            )
-        rows.append(DimensionLawRow(codim=k, dim=code.dim, self_dual=is_self_dual(code)))
-    self_dual_codims = tuple(r.codim for r in rows if r.self_dual)
-    expected = ((n - 1) // 2,) if n % 2 == 1 else ()
-    if self_dual_codims != expected:
-        raise TheoremViolation(
-            f"self-dual codimensions {self_dual_codims}, expected {expected}"
-        )
-    return DimensionLaw(rows=tuple(rows), self_dual_codims=self_dual_codims)
+        if dim != partial:
+            raise TheoremViolation(f"dim of codimension-{k} code is {dim}, expected {partial}")
+    return dims
 
 
 class SelfDualReport(Record):
@@ -251,7 +208,12 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
     k through 2k (faces beyond codimension n do not exist, and reaching
     the vertices themselves makes the parity condition fail). The two
     routes must agree. A self-dual verdict in dimension >= 3 must also
-    come with the all-ones vector in the code and 0 < 2k < n.
+    come with the all-ones vector in the code.
+
+    For even P, and for every P with n <= 2k + 2, the code must be
+    self-dual exactly when n = 2k + 1 and P is even: there the window
+    reaches codimension n - 2, so self-duality forces P even, and then
+    the dimension law, half dimension and h-symmetry force n = 2k + 1.
     """
     n = P.dim
     fc = face_code(P, k)
@@ -272,8 +234,11 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
         ones = _span(P.num_vertices, [(1 << P.num_vertices) - 1])
         if not ones.is_subspace_of(fc.code):
             raise TheoremViolation("self-dual face code without the all-ones vector")
-        if not 0 < 2 * k < n:
-            raise TheoremViolation(f"self-dual face code at impossible codimension {k}")
+    # In this order, is_even walks deeper than the window only for a self-dual code.
+    if self_dual != (n == 2 * k + 1 and is_even(P)) and (n <= 2 * k + 2 or is_even(P)):
+        raise TheoremViolation(
+            f"self-dual={self_dual} at codimension {k} of a {n}-polytope with even={is_even(P)}"
+        )
     return SelfDualReport(
         codim=k,
         self_dual=self_dual,
@@ -332,13 +297,8 @@ def min_distance_bound_check(P: SimplePolytope) -> tuple[int, int]:
     return bound, exact
 
 
-class DoublyEvenReport(Record):
-    codim: int
-    doubly_even: bool
-
-
-def doubly_even_report(P: SimplePolytope) -> DoublyEvenReport:
-    """Doubly-evenness of the self-dual-codimension code, checked two ways.
+def doubly_even_report(P: SimplePolytope) -> bool:
+    """Doubly-evenness of the self-dual-codimension code (n-1)/2, checked two ways.
 
     For even P with dim = 2k+1 the code of codimension k is doubly even
     exactly when every codimension-k face has vertex count divisible by
@@ -355,4 +315,4 @@ def doubly_even_report(P: SimplePolytope) -> DoublyEvenReport:
         raise TheoremViolation(
             f"doubly-even routes disagree: faces={by_faces} weights={by_weights}"
         )
-    return DoublyEvenReport(codim=k, doubly_even=by_weights)
+    return by_weights

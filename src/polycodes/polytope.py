@@ -6,7 +6,8 @@ of simplicity (n facets and n edge neighbors per vertex, connected
 skeleton). Global polytopality of abstract incidence data is not
 decided here; inputs passing the local checks are processed as given.
 Every input is held to 2^18 vertex-facet incidences (dimension x vertices),
-and the faces of one codimension to 2^28 stored mask bits (faces x vertices).
+one face walk to 2^22 faces, bounded before it starts, and the faces of
+one codimension to 2^28 stored mask bits (faces x vertices).
 
 Vertex sets are int masks (bit v is vertex v), as in the face codes.
 Validation builds the facet masks once, reads the edge rule from them
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, islice
@@ -107,6 +109,9 @@ _MAX_INCIDENCES = 1 << 18
 # The budget on stored faces: the bits of their vertex masks, summed (cube 12
 # at codimension 6 stores about 2^27.44, polygon 23169 at codimension 2 just under 2^28).
 _MAX_MASK_BITS = 1 << 28
+# The budget on one face walk: the faces it visits, bounded from the up-degrees
+# before it starts (cube 13 has 1,594,323 faces, cube 14 4,782,969).
+_MAX_WALK_FACES = 1 << 22
 
 
 def _normalize_facets(facets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
@@ -334,7 +339,20 @@ def _walk(P: SimplePolytope, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     list holds the path's facet at depth d. The walk counts every node
     and its parity, and stores the summary rows 0..k when they go
     further than the stored ones.
+
+    Before the root is pushed, the nodes are bounded by counting each
+    face at its lowest vertex v: a face of dimension s >= n - k there
+    contains the s neighbors of v along the edges that leave none of its
+    defining facets, all of higher index, so it is one of the C(up(v), s)
+    choices among v's up(v) higher neighbors. Over 2^22 the walk is
+    refused. The count of vertices per up-degree is kept on P.
     """
+    ups = P.derived("up_degrees", lambda: Counter(
+        sum(w > v for w in ws) for v, ws in enumerate(vertex_neighbors(P))))
+    bound = sum(c * comb(u, s) for u, c in ups.items() for s in range(P.dim - k, u + 1))
+    if bound > _MAX_WALK_FACES:
+        work = "the face walk needs an estimated"
+        raise _over_budget(work, bound, f"faces of codimension 0..{k}", _MAX_WALK_FACES)
     masks, above = _facet_masks(P), _facets_above(P)
     counts, odd = [0] * (k + 1), [0] * (k + 1)  # odd[j] & 1: some face has odd size
     path = [0] * k

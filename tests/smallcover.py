@@ -81,8 +81,7 @@ def admits_regular_m_involution(P: pc.SimplePolytope, lam: VectorColoring) -> In
     admits = len(image) == P.dim and _rank(lam.r, image) == P.dim
     if not admits:
         return InvolutionReport(admits=False, fixed_points=None, betti=None)
-    report = pc.colorability_report(P)
-    if P.dim >= 3 and not report.colorable:
+    if P.dim >= 3 and pc.colorability_report(P) is None:
         raise pc.TheoremViolation(
             "a basis-image characteristic coloring exists on a non-colorable polytope"
         )

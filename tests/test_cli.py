@@ -516,6 +516,23 @@ _DUALITY = (
     ("complement-pairing", "dual of each code is the complementary-codimension code"),
     ("product-closure", "facet-indicator products span each code"),
 )
+_LOWER_BOUND = ("dimension-lower-bound", "dim of each code at least the partial h-sum")
+_ROUTES = "direct and structural routes agree for all k; self-dual at "
+
+
+def _verify_report(subject, suite, rows):
+    """A passing `verify SUBJECT --suite SUITE` run of (check, detail) rows."""
+    return (
+        ["verify", subject, "--suite", suite],
+        "".join(f"[PASS] {suite} :: {subject} :: {c}: {d}\n" for c, d in rows)
+        + f"{len(rows)} checks, 0 failed\n",
+        {"suite": suite,
+         "checks": [{"suite": suite, "subject": subject, "check": c, "passed": True, "detail": d}
+                    for c, d in rows],
+         "failed": 0},
+    )
+
+
 REPORTS = [
     (
         ["info", "NAMELESS"],
@@ -575,15 +592,26 @@ REPORTS = [
          "basis": [{"vertex": 0, "defining_facets": [0]}, {"vertex": 1, "defining_facets": [3]},
                    {"vertex": 2, "defining_facets": [1]}]},
     ),
-    (
-        ["verify", "segment", "--suite", "duality"],
-        "".join(f"[PASS] duality :: segment :: {c}: {d}\n" for c, d in _DUALITY)
-        + "2 checks, 0 failed\n",
-        {"suite": "duality",
-         "checks": [{"suite": "duality", "subject": "segment", "check": c, "passed": True, "detail": d}
-                    for c, d in _DUALITY],
-         "failed": 0},
-    ),
+    _verify_report("segment", "duality", _DUALITY),
+    _verify_report("cube 3", "selfdual", [
+        _LOWER_BOUND,
+        ("route-agreement", _ROUTES + "[1]"),
+        ("dimension-law", "dims (1, 4, 7, 8) match partial h-sums; self-dual at (1,)"),
+        ("distance-bound", "minimum distance 4 within the face bound 4"),
+        ("doubly-even-criterion", "doubly even: True, by face sizes and by weights"),
+    ]),
+    _verify_report("cube 4", "selfdual", [
+        _LOWER_BOUND,
+        ("route-agreement", _ROUTES + "[]"),
+        ("no-self-dual-dimension-4", "self-dual codimensions: []"),
+        ("dimension-law", "dims (1, 5, 11, 15, 16) match partial h-sums; self-dual at ()"),
+    ]),
+    _verify_report("polygon 5", "colorability", [
+        ("criteria-agreement", "dimension 2 below 3, direct search only: colorable=False"),
+    ]),
+    _verify_report("prism 5", "colorability", [
+        ("criteria-agreement", "six criteria agree: colorable=False"),
+    ]),
 ]
 
 

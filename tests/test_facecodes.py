@@ -139,17 +139,16 @@ def test_code_matrix_columns_span_the_face_code():
 
 def test_cube_colorability_all_criteria_true():
     P = pc.cube(3)
-    r = pc.colorability_report(P)
-    assert r.colorable and not r.degenerate_dimension
-    assert set(colorability_criteria(P).values()) == {r.colorable}
-    assert r.coloring == pc.Coloring(num_colors=3, colors=(0, 0, 1, 1, 2, 2))
+    coloring = pc.colorability_report(P)
+    assert P.dim >= 3
+    assert set(colorability_criteria(P).values()) == {True}
+    assert coloring == pc.Coloring(num_colors=3, colors=(0, 0, 1, 1, 2, 2))
 
 
 def test_simplex_colorability_all_criteria_false():
     P = pc.simplex(3)
-    r = pc.colorability_report(P)
-    assert not r.colorable and r.coloring is None and not r.degenerate_dimension
-    assert set(colorability_criteria(P).values()) == {r.colorable}
+    assert pc.colorability_report(P) is None and P.dim >= 3
+    assert set(colorability_criteria(P).values()) == {False}
 
 
 def test_simplex_facet_code_dimension_breaks_the_formula():
@@ -160,26 +159,21 @@ def test_simplex_facet_code_dimension_breaks_the_formula():
 
 def test_prism6_coloring_and_dimension_formula():
     P = pc.prism(6)
-    r = pc.colorability_report(P)
-    assert r.colorable
-    assert r.coloring == pc.Coloring(num_colors=3, colors=(0, 1, 0, 1, 0, 1, 2, 2))
+    assert pc.colorability_report(P) == pc.Coloring(num_colors=3, colors=(0, 1, 0, 1, 0, 1, 2, 2))
     assert pc.face_code(P, 1).code.dim == P.num_facets - P.dim + 1 == 6
 
 
 def test_product_colorability():
     P = pc.parse_recipe("product (polygon 6) (cube 2)").build()
-    r = pc.colorability_report(P)
-    assert r.colorable
-    assert r.coloring == pc.Coloring(
+    assert pc.colorability_report(P) == pc.Coloring(
         num_colors=4, colors=(0, 1, 0, 1, 0, 1, 2, 2, 3, 3)
     )
 
 
 def test_odd_prism_not_colorable():
     P = pc.prism(5)
-    r = pc.colorability_report(P)
-    assert not r.colorable and not r.degenerate_dimension
-    assert set(colorability_criteria(P).values()) == {r.colorable}
+    assert pc.colorability_report(P) is None and P.dim >= 3
+    assert set(colorability_criteria(P).values()) == {False}
 
 
 def test_colorability_criteria_that_disagree_raise(monkeypatch):
@@ -197,9 +191,8 @@ DUAL_CYCLIC = [(4, 7), (4, 8), (4, 10), (5, 8), (5, 9), (6, 9), (6, 10), (7, 10)
 def test_dual_cyclic_polytopes_through_every_check(d, m):
     P = pc.dual_cyclic(d, m)
     assert check_incidence(P.dim, P.facets) == []
-    r = pc.colorability_report(P)
-    assert not r.colorable and r.coloring is None and not r.degenerate_dimension
-    assert set(colorability_criteria(P).values()) == {r.colorable}
+    assert pc.colorability_report(P) is None and P.dim >= 3
+    assert set(colorability_criteria(P).values()) == {False}
     h = pc.fh_vectors(P).h
     assert h == h[::-1]
     for k in range(d + 1):
@@ -223,12 +216,10 @@ def test_dual_cyclic_4_7_code_dimensions_break_the_inclusion_chain():
 
 
 def test_polygon_colorability_is_degenerate():
-    r5 = pc.colorability_report(pc.polygon(5))
-    assert not r5.colorable and r5.degenerate_dimension
+    assert pc.colorability_report(pc.polygon(5)) is None
     # Why the criteria are not compared below dimension 3: they disagree here.
     assert set(colorability_criteria(pc.polygon(5)).values()) == {False, True}
-    r6 = pc.colorability_report(pc.polygon(6))
-    assert r6.colorable and r6.degenerate_dimension
+    assert pc.colorability_report(pc.polygon(6)) is not None
 
 
 @pytest.mark.parametrize("entry", pc.corpus(), ids=lambda e: e.label)
@@ -270,22 +261,22 @@ def test_improper_coloring_detected():
 
 def test_cube3_dimension_law():
     P = pc.cube(3)
-    law = pc.dimension_law_check(P)
     h = pc.fh_vectors(P).h
-    assert [r.dim for r in law.rows] == [1, 4, 7, 8]
-    assert [sum(h[: r.codim + 1]) for r in law.rows] == [1, 4, 7, 8]
-    assert [r.self_dual for r in law.rows] == [False, True, False, False]
-    assert law.self_dual_codims == (1,)
+    assert pc.dimension_law_check(P) == (1, 4, 7, 8)
+    assert [sum(h[: k + 1]) for k in range(4)] == [1, 4, 7, 8]
+    assert [pc.self_duality_report(P, k).self_dual for k in range(4)] == [False, True, False, False]
 
 
 def test_cube5_dimension_law():
-    law = pc.dimension_law_check(pc.cube(5))
-    assert [r.dim for r in law.rows] == [1, 6, 16, 26, 31, 32]
-    assert law.self_dual_codims == (2,)
+    P = pc.cube(5)
+    assert pc.dimension_law_check(P) == (1, 6, 16, 26, 31, 32)
+    assert [k for k in range(6) if pc.self_duality_report(P, k).self_dual] == [2]
 
 
 def test_even_dimension_has_no_self_dual_codim():
-    assert pc.dimension_law_check(pc.cube(4)).self_dual_codims == ()
+    P = pc.cube(4)
+    pc.dimension_law_check(P)
+    assert not any(pc.self_duality_report(P, k).self_dual for k in range(5))
 
 
 def test_dimension_law_inapplicable_for_non_even():
@@ -298,8 +289,7 @@ def test_partial_h_sums_are_binomial_for_cubes():
     # is why the middle cube code has half dimension.
     for k in (1, 2):
         n = 2 * k + 1
-        law = pc.dimension_law_check(pc.cube(n))
-        assert law.rows[k].dim == sum(math.comb(n, i) for i in range(k + 1)) == 2 ** (n - 1)
+        assert pc.dimension_law_check(pc.cube(n))[k] == sum(math.comb(n, i) for i in range(k + 1)) == 2 ** (n - 1)
 
 
 # -------------------------------------------------------------- self-duality
@@ -363,6 +353,37 @@ def test_self_duality_routes_agree_on_random_recipes(text):
     P = pc.parse_recipe(text).build()
     for k in range(P.dim + 1):
         pc.self_duality_report(P, k)
+
+
+def test_self_duality_report_asserts_where_self_duality_occurs(monkeypatch):
+    # prism 5 is odd, so its middle code is not self-dual; claimed even, it must be.
+    monkeypatch.setattr(facecodes, "is_even", lambda P: True)
+    with pytest.raises(pc.TheoremViolation, match="self-dual=False at codimension 1 of a 3-polytope"):
+        pc.self_duality_report(pc.prism(5), 1)
+    # cube 3's middle code is self-dual; claimed odd, with n <= 2k + 2, it must not be.
+    monkeypatch.setattr(facecodes, "is_even", lambda P: False)
+    with pytest.raises(pc.TheoremViolation, match="self-dual=True at codimension 1 of a 3-polytope"):
+        pc.self_duality_report(pc.cube(3), 1)
+
+
+def assert_self_dual_exactly_where_proved(P: pc.SimplePolytope) -> None:
+    # Proved for every even P, and for every P with n <= 2k + 2: self-dual
+    # exactly at n = 2k + 1 on an even P.
+    n, even = P.dim, pc.is_even(P)
+    for k in range(n + 1):
+        if n <= 2 * k + 2 or even:
+            assert pc.self_duality_report(P, k).self_dual == (n == 2 * k + 1 and even), k
+
+
+def test_self_dual_exactly_where_proved_on_corpus():
+    for entry in pc.corpus():
+        assert_self_dual_exactly_where_proved(entry.build())
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=recipe_texts)
+def test_self_dual_exactly_where_proved_on_random_recipes(text):
+    assert_self_dual_exactly_where_proved(pc.parse_recipe(text).build())
 
 
 # ------------------------------------------------------------------ duality
@@ -468,12 +489,9 @@ def test_doubly_even_examples():
     def face_sizes_divisible_by_4(P: pc.SimplePolytope) -> bool:
         return all(f.num_vertices % 4 == 0 for f in pc.faces_of_codim(P, (P.dim - 1) // 2))
 
-    r = pc.doubly_even_report(pc.cube(3))
-    assert r.codim == 1 and r.doubly_even and face_sizes_divisible_by_4(pc.cube(3))
-    r6 = pc.doubly_even_report(pc.prism(6))
-    assert not r6.doubly_even and not face_sizes_divisible_by_4(pc.prism(6))
-    r8 = pc.doubly_even_report(pc.prism(8))
-    assert r8.doubly_even
+    assert pc.doubly_even_report(pc.cube(3)) and face_sizes_divisible_by_4(pc.cube(3))
+    assert not pc.doubly_even_report(pc.prism(6)) and not face_sizes_divisible_by_4(pc.prism(6))
+    assert pc.doubly_even_report(pc.prism(8))
 
 
 def test_doubly_even_weights_route_agrees_by_enumeration():

@@ -120,6 +120,12 @@ def _faces_over_a_small_budget(monkeypatch):
     pc.faces_of_codim(pc.cube(4), 2)
 
 
+def _walk_over_a_small_budget(monkeypatch):
+    # The 4-cube has 3^4 = 81 faces, each counted at its lowest vertex.
+    monkeypatch.setattr(polytope, "_MAX_WALK_FACES", 1 << 6)
+    pc.fh_vectors(pc.cube(4))
+
+
 _B18, _B28 = "2^18 = 262144", "2^28 = 268435456"
 
 
@@ -169,6 +175,7 @@ _B18, _B28 = "2^18 = 262144", "2^28 = 268435456"
         ),
         # The walk stops at the first face over the budget; the rest are uncounted.
         (_faces_over_a_small_budget, "storing the codimension-2 faces needs over 2^8 vertex-mask bits", "2^8 = 256"),
+        (_walk_over_a_small_budget, "the face walk needs an estimated 81 faces of codimension 0..4", "2^6 = 64"),
     ],
 )
 def test_every_budget_refusal_states_its_count_and_its_budget(refuse, work, budget, monkeypatch):

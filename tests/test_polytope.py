@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -315,6 +316,40 @@ def test_a_walk_that_skips_faces_fails_the_skeleton_check():
     P._derived["facets_above"] = tuple(above)
     with pytest.raises(pc.TheoremViolation, match=r"^the face walk found 11 edges, the 1-skeleton has 12$"):
         pc.fh_vectors(P)
+
+
+def walk_estimate(P: pc.SimplePolytope, k: int) -> int:
+    """The face count the walk to codimension k is bounded by, read from its refusal."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_MAX_WALK_FACES", 0)
+        with pytest.raises(pc.BudgetExceeded) as info:
+            pc.faces_of_codim(P, k)
+    return int(re.search(r"estimated (\d+) faces", str(info.value)).group(1))
+
+
+def assert_walk_bound(P: pc.SimplePolytope, exact: bool) -> None:
+    f = pc.fh_vectors(P).f
+    for k in range(P.dim + 1):
+        estimate, faces = walk_estimate(P, k), sum(f[: k + 1])
+        assert estimate == faces if exact else estimate >= faces, k
+
+
+def test_walk_bound_is_exact_on_cubes_prisms_and_polygon_products():
+    for text in ("cube 7", "prism 9", "product (polygon 5) (polygon 7)", "product (polygon 6) (cube 3)"):
+        assert_walk_bound(pc.parse_recipe(text).build(), exact=True)
+
+
+def test_walk_bound_never_undercounts_on_corpus():
+    for entry in pc.corpus():
+        assert_walk_bound(entry.build(), exact=False)
+    # Cut vertices break the count's exactness, not its bound: 999 against 853 faces.
+    assert walk_estimate(pc.parse_recipe("vcut (vcut (cube 6) 0) 9").build(), 6) == 999
+
+
+@settings(deadline=None, max_examples=50)
+@given(recipe_texts)
+def test_walk_bound_never_undercounts_on_random_recipes(text):
+    assert_walk_bound(pc.parse_recipe(text).build(), exact=False)
 
 
 def test_faces_of_codim_rejects_bad_codim():

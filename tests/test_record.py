@@ -24,7 +24,6 @@ from smallcover import VectorColoring, admits_regular_m_involution, lift_colorin
 def sample_records() -> list[Record]:
     P, Q = pc.cube(3), pc.prism(6)
     code = pc.face_code(P, 1).code
-    law = pc.dimension_law_check(P)
     verdicts = [pc.realizability_screen(*a) for a in [(8, 4, True), (8, 2, False), (10, 4, False)]]
     lam = lift_coloring(pc.find_coloring(P))
     return [
@@ -44,13 +43,8 @@ def sample_records() -> list[Record]:
         pc.find_coloring(P),
         pc.find_coloring(Q),
         pc.colorability_report(P),
-        pc.colorability_report(pc.simplex(3)),
-        law,
-        *law.rows,
         pc.self_duality_report(P, 1),
         pc.self_duality_report(Q, 1),
-        pc.doubly_even_report(P),
-        pc.doubly_even_report(Q),
         *verdicts,
         *verdicts[1].trace,
         *pc.run_suite("duality", [("cube 3", P)]),

@@ -22,7 +22,7 @@ from .errors import (
     Undefined,
     _clip,
 )
-from .facecodes import code_matrix, colorability_report, face_code, self_duality_report
+from .facecodes import _colorability_note, code_matrix, colorability_report, face_code, self_duality_report
 from .gf2 import format_matrix, is_self_dual, min_distance
 from .morse import _histogram, extract_basis, generic_height, vertex_indices
 from .polytope import (
@@ -139,15 +139,13 @@ def _cmd_mindist(args: argparse.Namespace) -> int:
 
 def _cmd_color(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
-    coloring = colorability_report(P)
-    colors = coloring.colors if coloring else None
-    note = f"dimension {P.dim} below 3, direct search only" if P.dim < 3 else "six criteria agree"
+    colors = colorability_report(P)
     # JSON puts the colors before the note; text puts them last, and only when found.
     _report(args, [
-        ("colorable", "colorable", coloring is not None),
+        ("colorable", "colorable", colors is not None),
         ("colors", None, colors),
-        ("note", "note", note),
-        *([(None, "colors", colors)] if coloring else []),
+        ("note", "note", _colorability_note(P)),
+        *([(None, "colors", colors)] if colors else []),
     ])
     return 0
 
@@ -156,7 +154,7 @@ def _cmd_selfdual(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     report = self_duality_report(P, args.k)
     _report(args, [
-        ("codimension", "codimension", report.codim),
+        ("codimension", "codimension", args.k),
         ("self_dual", "self-dual", report.self_dual),
         ("half_dimension", "half dimension", report.half_dimension),
         ("face_parity_ok", "even faces in the window", report.face_parity_ok),

@@ -31,7 +31,6 @@ from .polytope import (
 )
 
 __all__ = [
-    "Coloring",
     "FaceCode",
     "SelfDualReport",
     "circ_closure_check",
@@ -51,7 +50,6 @@ __all__ = [
 class FaceCode(Record):
     """Code of one codimension, with its faces in generator order."""
 
-    codim: int
     faces: tuple[Face, ...]
     code: LinearCode
 
@@ -62,7 +60,7 @@ def face_code(P: SimplePolytope, k: int) -> FaceCode:
     def build() -> FaceCode:
         faces = faces_of_codim(P, k)
         code = _span(P.num_vertices, [f.vertex_mask for f in faces])
-        return FaceCode(codim=k, faces=faces, code=code)
+        return FaceCode(faces=faces, code=code)
 
     return P.derived(("face_code", k), build)
 
@@ -77,24 +75,15 @@ def code_matrix(P: SimplePolytope, k: int) -> list[int]:
     return rows
 
 
-class Coloring(Record):
-    """Facet coloring; colors[i] is the color of facet i."""
-
-    num_colors: int
-    colors: tuple[int, ...]
-
-
-def coloring_is_proper(P: SimplePolytope, coloring: Coloring) -> bool:
-    """Every vertex must see dim distinct facet colors."""
-    if len(coloring.colors) != P.num_facets:
+def coloring_is_proper(P: SimplePolytope, colors: tuple[int, ...]) -> bool:
+    """Every vertex must see dim distinct facet colors; colors[i] is the color of facet i."""
+    if len(colors) != P.num_facets:
         raise InvalidInput("coloring length does not match the facet count")
-    return all(
-        len({coloring.colors[i] for i in fs}) == P.dim for fs in P.vertex_facets
-    )
+    return all(len({colors[i] for i in fs}) == P.dim for fs in P.vertex_facets)
 
 
-def find_coloring(P: SimplePolytope) -> Coloring | None:
-    """The proper coloring of facets with dim colors, or None when there is none.
+def find_coloring(P: SimplePolytope) -> tuple[int, ...] | None:
+    """The facet colors of the proper coloring with dim colors, or None when there is none.
 
     No search is needed. A vertex sees dim distinct colors and the ends of
     an edge v-w share dim - 1 facets, so the facet w gains takes the color
@@ -108,8 +97,8 @@ def find_coloring(P: SimplePolytope) -> Coloring | None:
     coloring.
 
     A proper coloring is therefore unique up to a permutation of colors.
-    Numbering colors by first appearance in facet order returns the
-    lexicographically first one.
+    Numbering colors 0..dim-1 by first appearance in facet order returns
+    the lexicographically first one.
     """
     nbrs, left = vertex_neighbors(P), _edge_facets(P)
     colors = [-1] * P.num_facets
@@ -130,17 +119,17 @@ def find_coloring(P: SimplePolytope) -> Coloring | None:
                 seen.add(w)
                 todo.append(w)
     first = {c: i for i, c in enumerate(dict.fromkeys(colors))}
-    found = Coloring(num_colors=P.dim, colors=tuple(first[c] for c in colors))
+    found = tuple(first[c] for c in colors)
     return found if coloring_is_proper(P, found) else None
 
 
-def _perfect_cover_partition(P: SimplePolytope, coloring: Coloring | None) -> bool:
+def _perfect_cover_partition(P: SimplePolytope, colors: tuple[int, ...] | None) -> bool:
     # Each color class must partition the vertex set, i.e. be a perfect
     # facet cover: disjoint facets whose indicators sum to the all-ones vector.
-    if coloring is None:
+    if colors is None:
         return False
-    for c in range(coloring.num_colors):
-        members = [P.facets[i] for i in range(P.num_facets) if coloring.colors[i] == c]
+    for c in range(P.dim):
+        members = [P.facets[i] for i in range(P.num_facets) if colors[i] == c]
         total = sum(len(f) for f in members)
         union: set[int] = set().union(*members) if members else set()
         if total != P.num_vertices or len(union) != P.num_vertices:
@@ -148,24 +137,24 @@ def _perfect_cover_partition(P: SimplePolytope, coloring: Coloring | None) -> bo
     return True
 
 
-def colorability_report(P: SimplePolytope) -> Coloring | None:
-    """The proper coloring, or None, once the six equivalent colorability criteria agree.
+def colorability_report(P: SimplePolytope) -> tuple[int, ...] | None:
+    """``find_coloring``'s facet colors, or None, once the six equivalent colorability criteria agree.
 
     Below dimension 3 the equivalences break down (odd polygons satisfy
     the dimension formula without being 2-colorable), so only the direct
     coloring runs. Incidence data with an asymmetric h-vector is no
     polytope and raises InvalidPolytope before the criteria are compared.
     """
-    coloring = find_coloring(P)
+    colors = find_coloring(P)
     if P.dim < 3:
-        return coloring
+        return colors
     n = P.dim
     codes = [face_code(P, k).code for k in range(n + 1)]
     fh_vectors(P)  # no new walk: the codes above completed the summary it reads
     nested = [codes[k].is_subspace_of(codes[k + 1]) for k in range(n)]
     criteria = {
-        "coloring_found": coloring is not None,
-        "perfect_cover_partition": _perfect_cover_partition(P, coloring),
+        "coloring_found": colors is not None,
+        "perfect_cover_partition": _perfect_cover_partition(P, colors),
         "inclusion_chain": all(nested),
         "penultimate_inclusion": nested[n - 2],
         "first_code_dimension": codes[1].dim == P.num_facets - n + 1,
@@ -173,7 +162,12 @@ def colorability_report(P: SimplePolytope) -> Coloring | None:
     }
     if len(set(criteria.values())) != 1:
         raise TheoremViolation(f"colorability criteria disagree: {criteria}")
-    return coloring
+    return colors
+
+
+def _colorability_note(P: SimplePolytope) -> str:
+    """How ``colorability_report`` decides: below dimension 3 by the direct search alone."""
+    return f"dimension {P.dim} below 3, direct search only" if P.dim < 3 else "six criteria agree"
 
 
 def dimension_law_check(P: SimplePolytope) -> tuple[int, ...]:
@@ -193,7 +187,6 @@ def dimension_law_check(P: SimplePolytope) -> tuple[int, ...]:
 
 
 class SelfDualReport(Record):
-    codim: int
     self_dual: bool
     half_dimension: bool
     face_parity_ok: bool
@@ -205,8 +198,8 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
 
     Route one is the direct comparison with the dual; route two demands
     half dimension plus even vertex counts on every face of codimension
-    k through 2k (faces beyond codimension n do not exist, and reaching
-    the vertices themselves makes the parity condition fail). The two
+    k through 2k (faces beyond codimension n do not exist; when 2k > n
+    the window reaches the vertices, each of odd count 1). The two
     routes must agree. A self-dual verdict in dimension >= 3 must also
     come with the all-ones vector in the code.
 
@@ -222,9 +215,6 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
     summary = _face_summary(P, min(2 * k, n))
     parity_rows = [(c, ok) for c, (_, ok) in enumerate(summary) if c >= k]
     parity_ok = all(ok for _, ok in parity_rows)
-    if 2 * k > n:
-        # The parity range is cut off at the vertices, whose count of 1 is odd.
-        parity_ok = False
     if (half and parity_ok) != self_dual:
         raise TheoremViolation(
             f"self-duality routes disagree at codimension {k}: "
@@ -240,7 +230,6 @@ def self_duality_report(P: SimplePolytope, k: int) -> SelfDualReport:
             f"self-dual={self_dual} at codimension {k} of a {n}-polytope with even={is_even(P)}"
         )
     return SelfDualReport(
-        codim=k,
         self_dual=self_dual,
         half_dimension=half,
         face_parity_ok=parity_ok,

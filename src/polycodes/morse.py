@@ -146,7 +146,7 @@ def extract_basis(
         mask = reduce(int.__and__, map(masks.__getitem__, defining), (1 << P.num_vertices) - 1)
         if min(_ones(mask), key=rank.__getitem__) != v:
             raise TheoremViolation(f"vertex {v} is not the lowest vertex of its selected face")
-        selected.append((v, Face(k, defining, mask)))
+        selected.append((v, Face(defining, mask)))
     span = _span(P.num_vertices, [f.vertex_mask for _, f in selected])
     if span.dim != len(selected):
         raise TheoremViolation("selected face indicators are linearly dependent")

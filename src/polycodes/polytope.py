@@ -62,7 +62,6 @@ class SimplePolytope(Record):
 
     dim: int
     facets: tuple[frozenset[int], ...]
-    num_vertices: int
     vertex_facets: tuple[frozenset[int], ...]
     coords: tuple[tuple[Fraction, ...], ...] | None = None
     name: str | None = None
@@ -74,6 +73,10 @@ class SimplePolytope(Record):
     def num_facets(self) -> int:
         return len(self.facets)
 
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertex_facets)
+
     def derived(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The value stored under ``key``, computed by ``compute()`` on first use."""
         if key not in self._derived:
@@ -82,12 +85,11 @@ class SimplePolytope(Record):
 
 
 class Face(Record):
-    """Face of codimension ``codim``, identified by its defining facets.
+    """Face cut out by its defining facets, as many as its codimension.
 
     Its vertices are the set bits of ``vertex_mask`` (bit v is vertex v).
     """
 
-    codim: int
     defining_facets: tuple[int, ...]
     vertex_mask: int
 
@@ -289,14 +291,7 @@ def validate(
         violations.extend(bad_coords)
     if violations:
         raise InvalidPolytope(violations)
-    P = SimplePolytope(
-        dim=dim,
-        facets=fsets,
-        num_vertices=num_vertices,
-        vertex_facets=vertex_facets,
-        coords=coords,
-        name=name,
-    )
+    P = SimplePolytope(dim=dim, facets=fsets, vertex_facets=vertex_facets, coords=coords, name=name)
     P._derived.update(facet_masks=masks, neighbors=neighbors, edge_facets=left)
     return P
 
@@ -398,7 +393,7 @@ def faces_of_codim(P: SimplePolytope, k: int) -> tuple[Face, ...]:
             if bits > _MAX_MASK_BITS:  # the faces not yet walked are uncounted
                 work = f"storing the codimension-{k} faces needs"
                 raise _over_budget(work, bits, "vertex-mask bits", _MAX_MASK_BITS, exact=False)
-            faces.append(Face(k, defining, mask))
+            faces.append(Face(defining, mask))
         return tuple(faces)
 
     return P.derived(("faces", k), store)

@@ -14,6 +14,7 @@ from ._record import Record
 from .corpus import corpus
 from .errors import InvalidInput
 from .facecodes import (
+    _colorability_note,
     circ_closure_check,
     colorability_report,
     dimension_law_check,
@@ -60,8 +61,8 @@ _Row = tuple[str, str, bool, str]
 
 def _suite_colorability(subjects) -> Iterator[_Row]:
     for label, P in subjects:
-        how = f"dimension {P.dim} below 3, direct search only" if P.dim < 3 else "six criteria agree"
-        yield label, "criteria-agreement", True, f"{how}: colorable={colorability_report(P) is not None}"
+        colorable = colorability_report(P) is not None
+        yield label, "criteria-agreement", True, f"{_colorability_note(P)}: colorable={colorable}"
 
 
 def _suite_selfdual(subjects) -> Iterator[_Row]:

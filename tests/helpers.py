@@ -307,7 +307,7 @@ def faces_by_grouping(P: pc.SimplePolytope, k: int) -> tuple[pc.Face, ...]:
         for subset in itertools.combinations(sorted(fs), k):
             groups.setdefault(subset, []).append(v)
     return tuple(
-        pc.Face(k, defining, sum(1 << v for v in vs)) for defining, vs in sorted(groups.items())
+        pc.Face(defining, sum(1 << v for v in vs)) for defining, vs in sorted(groups.items())
     )
 
 
@@ -452,8 +452,8 @@ def neighbors_by_pair_scan(P: pc.SimplePolytope) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(x) for x in nbrs)
 
 
-def coloring_by_backtracking(P: pc.SimplePolytope) -> pc.Coloring | None:
-    """Lexicographically first proper dim-coloring, by backtracking over facets.
+def coloring_by_backtracking(P: pc.SimplePolytope) -> tuple[int, ...] | None:
+    """Facet colors of the lexicographically first proper dim-coloring, by backtracking over facets.
 
     Facets are adjacent when their vertex sets meet. The search takes the
     facets in breadth-first order over that adjacency, so each facet after
@@ -507,7 +507,7 @@ def coloring_by_backtracking(P: pc.SimplePolytope) -> pc.Coloring | None:
     if not extend(0, 0):
         return None
     first_seen = {c: rank for rank, c in enumerate(dict.fromkeys(colors))}
-    return pc.Coloring(num_colors=n, colors=tuple(first_seen[c] for c in colors))
+    return tuple(first_seen[c] for c in colors)
 
 
 def colorability_criteria(P: pc.SimplePolytope) -> dict[str, bool]:
@@ -519,18 +519,18 @@ def colorability_criteria(P: pc.SimplePolytope) -> dict[str, bool]:
     disjoint and cover every vertex, read from the facet sets directly.
     """
     n = P.dim
-    coloring = pc.find_coloring(P)
+    colors = pc.find_coloring(P)
     codes = [pc.face_code(P, k).code for k in range(n + 1)]
 
     def perfect_cover(c: int) -> bool:
-        members = [f for f, color in zip(P.facets, coloring.colors) if color == c]
+        members = [f for f, color in zip(P.facets, colors) if color == c]
         covered = [v for f in members for v in f]
         return sorted(covered) == list(range(P.num_vertices))
 
     return {
-        "coloring_found": coloring is not None,
-        "perfect_cover_partition": coloring is not None
-        and all(perfect_cover(c) for c in range(coloring.num_colors)),
+        "coloring_found": colors is not None,
+        "perfect_cover_partition": colors is not None
+        and all(perfect_cover(c) for c in range(n)),
         "inclusion_chain": all(codes[k].is_subspace_of(codes[k + 1]) for k in range(n)),
         "penultimate_inclusion": n >= 2 and codes[n - 2].is_subspace_of(codes[n - 1]),
         "first_code_dimension": codes[1].dim == P.num_facets - n + 1,

@@ -90,11 +90,9 @@ def admits_regular_m_involution(P: pc.SimplePolytope, lam: VectorColoring) -> In
     )
 
 
-def lift_coloring(coloring: pc.Coloring) -> VectorColoring:
-    """Send color i to the i-th standard basis vector."""
-    return VectorColoring(
-        r=coloring.num_colors, colors=tuple(1 << c for c in coloring.colors)
-    )
+def lift_coloring(colors: tuple[int, ...]) -> VectorColoring:
+    """Send color i of the colors 0..r-1 to the i-th standard basis vector."""
+    return VectorColoring(r=max(colors) + 1, colors=tuple(1 << c for c in colors))
 
 
 def vector_coloring_to_json(mu: VectorColoring) -> str:

@@ -562,6 +562,11 @@ REPORTS = [
         {"colorable": True, "colors": [0, 0, 1, 1, 2, 2], "note": "six criteria agree"},
     ),
     (
+        ["color", "prism 6"],
+        "colorable: yes\nnote: six criteria agree\ncolors: 0 1 0 1 0 1 2 2\n",
+        {"colorable": True, "colors": [0, 1, 0, 1, 0, 1, 2, 2], "note": "six criteria agree"},
+    ),
+    (
         ["color", "simplex 3"],
         "colorable: no\nnote: six criteria agree\n",
         {"colorable": False, "colors": None, "note": "six criteria agree"},
@@ -576,6 +581,13 @@ REPORTS = [
         "codimension: 1\nself-dual: no\nhalf dimension: no\neven faces in the window: no\n",
         {"codimension": 1, "self_dual": False, "half_dimension": False, "face_parity_ok": False,
          "parity_by_codim": [[1, False], [2, True]]},
+    ),
+    (
+        # 2k > n: the window reaches the vertices, whose count of 1 is odd.
+        ["selfdual", "prism 5", "-k", "2"],
+        "codimension: 2\nself-dual: no\nhalf dimension: no\neven faces in the window: no\n",
+        {"codimension": 2, "self_dual": False, "half_dimension": False, "face_parity_ok": False,
+         "parity_by_codim": [[2, True], [3, False]]},
     ),
     (
         ["screen", "--length", "30", "--mindist", "5"],

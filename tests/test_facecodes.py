@@ -139,10 +139,10 @@ def test_code_matrix_columns_span_the_face_code():
 
 def test_cube_colorability_all_criteria_true():
     P = pc.cube(3)
-    coloring = pc.colorability_report(P)
+    colors = pc.colorability_report(P)
     assert P.dim >= 3
     assert set(colorability_criteria(P).values()) == {True}
-    assert coloring == pc.Coloring(num_colors=3, colors=(0, 0, 1, 1, 2, 2))
+    assert colors == (0, 0, 1, 1, 2, 2)
 
 
 def test_simplex_colorability_all_criteria_false():
@@ -159,15 +159,13 @@ def test_simplex_facet_code_dimension_breaks_the_formula():
 
 def test_prism6_coloring_and_dimension_formula():
     P = pc.prism(6)
-    assert pc.colorability_report(P) == pc.Coloring(num_colors=3, colors=(0, 1, 0, 1, 0, 1, 2, 2))
+    assert pc.colorability_report(P) == (0, 1, 0, 1, 0, 1, 2, 2)
     assert pc.face_code(P, 1).code.dim == P.num_facets - P.dim + 1 == 6
 
 
 def test_product_colorability():
     P = pc.parse_recipe("product (polygon 6) (cube 2)").build()
-    assert pc.colorability_report(P) == pc.Coloring(
-        num_colors=4, colors=(0, 1, 0, 1, 0, 1, 2, 2, 3, 3)
-    )
+    assert pc.colorability_report(P) == (0, 1, 0, 1, 0, 1, 2, 2, 3, 3)
 
 
 def test_odd_prism_not_colorable():
@@ -222,6 +220,27 @@ def test_polygon_colorability_is_degenerate():
     assert pc.colorability_report(pc.polygon(6)) is not None
 
 
+def assert_colors_are_numbered_by_first_appearance(P: pc.SimplePolytope) -> None:
+    # A proper coloring uses exactly the colors 0..dim-1, first seen in that order.
+    colors = pc.colorability_report(P)
+    assert colors is None or list(dict.fromkeys(colors)) == list(range(P.dim))
+
+
+def test_colorability_report_numbers_colors_by_first_appearance_on_corpus():
+    # Vertex 0 of the relabelled cube lies in facets 0, 2 and 3, so the colors
+    # it fixes, read in facet order, first appear as 0, 2, 1.
+    f = pc.cube(3).facets
+    relabelled = pc.validate(3, [f[i] for i in (0, 5, 2, 4, 1, 3)])
+    for P in [relabelled, *(entry.build() for entry in pc.corpus())]:
+        assert_colors_are_numbered_by_first_appearance(P)
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=recipe_texts)
+def test_colorability_report_numbers_colors_by_first_appearance_on_random_recipes(text):
+    assert_colors_are_numbered_by_first_appearance(pc.parse_recipe(text).build())
+
+
 @pytest.mark.parametrize("entry", pc.corpus(), ids=lambda e: e.label)
 def test_find_coloring_matches_backtracking_on_corpus(entry):
     P = entry.build()
@@ -241,19 +260,18 @@ def test_find_coloring_on_a_thousand_facet_prism():
     P = pc.prism(1000)
     found = pc.find_coloring(P)
     assert found is not None and pc.coloring_is_proper(P, found)
-    assert list(dict.fromkeys(found.colors)) == list(range(P.dim))
+    assert list(dict.fromkeys(found)) == list(range(P.dim))
     assert pc.find_coloring(pc.prism(1001)) is None
 
 
 def test_coloring_is_proper_validates_length():
     with pytest.raises(pc.InvalidInput):
-        pc.coloring_is_proper(pc.cube(3), pc.Coloring(num_colors=3, colors=(0, 1)))
+        pc.coloring_is_proper(pc.cube(3), (0, 1))
 
 
 def test_improper_coloring_detected():
     # Two adjacent facets sharing a color must fail.
-    bad = pc.Coloring(num_colors=3, colors=(0, 0, 0, 1, 2, 2))
-    assert not pc.coloring_is_proper(pc.cube(3), bad)
+    assert not pc.coloring_is_proper(pc.cube(3), (0, 0, 0, 1, 2, 2))
 
 
 # ------------------------------------------------------------- dimension law

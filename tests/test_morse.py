@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import polycodes as pc
 
@@ -15,6 +16,7 @@ from helpers import (
     face_indicator,
     generic_height_by_fractions,
     height_from_objective,
+    recipe_texts,
     reduce,
     vertex_indices_by_fractions,
     vertex_set,
@@ -138,6 +140,26 @@ def test_histogram_is_seed_independent():
         for seed in range(20):
             phi = pc.generic_height(P, seed=seed)
             assert pc.index_histogram(P, phi) == h
+
+
+def assert_basis_faces_have_as_many_defining_facets_as_their_codimension(P: pc.SimplePolytope) -> None:
+    phi = pc.generic_height(P, 0)
+    for k in range(P.dim + 1):
+        assert all(len(f.defining_facets) == k for _, f in pc.extract_basis(P, phi, k)), k
+
+
+def test_basis_faces_have_as_many_defining_facets_as_their_codimension_on_the_corpus():
+    for entry in pc.corpus():
+        P = entry.build()
+        if P.coords is not None:
+            assert_basis_faces_have_as_many_defining_facets_as_their_codimension(P)
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=recipe_texts)
+def test_basis_faces_have_as_many_defining_facets_as_their_codimension_on_random_recipes(text):
+    # Every leaf of recipe_texts carries coordinates, and products and cuts keep them.
+    assert_basis_faces_have_as_many_defining_facets_as_their_codimension(pc.parse_recipe(text).build())
 
 
 def test_integer_draws_match_the_fraction_route_on_the_corpus():

@@ -236,6 +236,23 @@ def assert_walk_matches_grouping(text: str) -> None:
         assert pc.is_even(P) == all(f.num_vertices % 2 == 0 for f in expected[P.dim - 2])
 
 
+def assert_codimension_is_the_defining_facet_count(P: pc.SimplePolytope) -> None:
+    # A codimension-k face of a simple polytope is cut out by exactly k facets.
+    for k in range(P.dim + 1):
+        assert all(len(f.defining_facets) == k for f in pc.faces_of_codim(P, k)), k
+
+
+def test_every_face_has_as_many_defining_facets_as_its_codimension_on_corpus():
+    for entry in pc.corpus():
+        assert_codimension_is_the_defining_facet_count(entry.build())
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=recipe_texts)
+def test_every_face_has_as_many_defining_facets_as_its_codimension_on_random_recipes(text):
+    assert_codimension_is_the_defining_facet_count(pc.parse_recipe(text).build())
+
+
 def test_face_walk_matches_grouping_on_corpus():
     for entry in pc.corpus():
         assert_walk_matches_grouping(entry.label)

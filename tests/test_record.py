@@ -40,9 +40,6 @@ def sample_records() -> list[Record]:
         code,
         pc.dual_code(pc.face_code(Q, 2).code),
         pc.weight_enumerator(code),
-        pc.find_coloring(P),
-        pc.find_coloring(Q),
-        pc.colorability_report(P),
         pc.self_duality_report(P, 1),
         pc.self_duality_report(Q, 1),
         *verdicts,
@@ -139,7 +136,7 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls):
 
 
 def test_records_of_different_classes_or_tuples_are_unequal():
-    a, b = pc.Coloring(3, (1, 2)), VectorColoring(3, (1, 2))
+    a, b = pc.FHVectors(3, (1, 2)), VectorColoring(3, (1, 2))
     assert a._values(a) == b._values(b) == (3, (1, 2))
     assert a != b and b != a and a != (3, (1, 2))
 

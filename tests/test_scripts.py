@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 from pathlib import Path
+
+import pytest
 
 import polycodes as pc
 
@@ -34,3 +37,34 @@ def test_screen_grid_reports_a_refused_row_and_goes_on(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["128", "16", "refused", "-", "witness"] in rows
     assert rows[-1][:2] == ["136", "16"]
+
+
+def test_soak_run_is_seeded_and_meets_both_hypotheses(capsys):
+    soak = load_script("soak")
+    runs = []
+    for _ in range(2):
+        assert soak.main(["--draws", "20", "--seed", "0"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    counts = dict(line.split(": ") for line in runs[0][1:])
+    assert runs[0][0].startswith("seed 0: 20 draws") and len(counts) == 8
+    assert int(counts["unrealized"]) >= 1 and int(counts["even"]) >= 1
+
+
+def _violation(suite, subjects):
+    raise pc.TheoremViolation("planted")
+
+
+def _failed_row(suite, subjects):
+    return [pc.CheckResult(suite, "subject", "planted-check", False, "planted")]
+
+
+@pytest.mark.parametrize(
+    "run_suite, reason", [(_violation, "planted"), (_failed_row, "colorability :: planted-check: planted")]
+)
+def test_soak_run_stops_at_the_first_violation_with_its_recipe(run_suite, reason, capsys, monkeypatch):
+    soak = load_script("soak")
+    first = soak.draw(random.Random(0))
+    monkeypatch.setattr(pc, "run_suite", run_suite)
+    assert soak.main(["--draws", "5", "--seed", "0"]) == 3
+    assert capsys.readouterr().out == f"theorem check failed on {first!r}: {reason}\n"
